@@ -228,7 +228,6 @@ class Executor:
         graph: PropertyGraph,
         parameters: Mapping[str, object] | None = None,
         planner: "QueryPlanner | None | object" = _DEFAULT,
-        columnar: bool = True,
     ) -> None:
         self.graph = graph
         self.parameters = dict(parameters or {})
@@ -238,9 +237,6 @@ class Executor:
             planner = default_planner()
         # escape hatch: Executor(graph, planner=None) runs unplanned
         self.planner: "QueryPlanner | None" = planner
-        # escape hatch: columnar=False pins every clause to the legacy
-        # matcher even when the graph has a CSR snapshot available
-        self.columnar = columnar
 
     # ------------------------------------------------------------------
     def _plan(self, query: Query) -> "QueryPlan | None":
@@ -438,7 +434,8 @@ class Executor:
 
     def _apply_merge(self, clause: MergeClause, row: Row) -> Row:
         matches = list(match_patterns(
-            self.graph, (clause.pattern,), dict(row)
+            self.graph, (clause.pattern,), dict(row),
+            parameters=self.parameters,
         ))
         if matches:
             return matches[0]
@@ -580,7 +577,7 @@ class Executor:
             obs.inc("matcher.seeds", stats.seeds)
             obs.inc("matcher.expansions", stats.expansions)
             obs.inc("matcher.visits", stats.visits)
-            obs.inc("matcher.csr.frontier_expansions", stats.csr_frontiers)
+            obs.inc("matcher.csr.frontier_expansions", stats.frontiers)
             if clause_plan is not None:
                 obs.observe("planner.estimated_rows", clause_plan.estimate)
                 obs.observe("planner.actual_rows", matched_total)
@@ -600,7 +597,7 @@ class Executor:
                     for predicate in clause_plan.prefilter
                 )
             except CypherError:
-                # legacy semantics raise such errors only on rows that
+                # unplanned semantics raise such errors only on rows that
                 # have at least one pattern match; re-run unplanned so
                 # the error surfaces with identical timing (or not at
                 # all, when nothing matches)
@@ -615,7 +612,6 @@ class Executor:
                     plan=clause_plan,
                     parameters=self.parameters,
                     stats=stats,
-                    columnar=self.columnar,
                 ):
                     if clause_plan.residual is not None:
                         residual = evaluate(
@@ -626,7 +622,8 @@ class Executor:
                     yield bindings
                 return
         for bindings in match_patterns(
-            self.graph, clause.patterns, dict(row), stats=stats
+            self.graph, clause.patterns, dict(row),
+            parameters=self.parameters, stats=stats,
         ):
             if clause.where is not None:
                 if evaluate(clause.where, self._ctx(bindings)) is not True:

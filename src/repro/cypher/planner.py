@@ -101,18 +101,12 @@ class PlannedPattern:
 
 @dataclass
 class ClausePlan:
-    """Execution plan for one MATCH clause.
-
-    ``columnar`` marks the clause eligible for the CSR frontier path
-    (every pattern free of variable-length relationships); like the
-    rest of the plan it is advisory — both paths return identical rows.
-    """
+    """Execution plan for one MATCH clause."""
 
     steps: tuple[PlannedPattern, ...]
     prefilter: tuple[Expression, ...]
     residual: Optional[Expression]
     estimate: float
-    columnar: bool = False
 
 
 @dataclass
@@ -608,14 +602,6 @@ def _plan_match_clause(
         prefilter=tuple(prefilter),
         residual=_combine_and(residual),
         estimate=total_rows,
-        columnar=all(
-            not (
-                isinstance(element, RelPattern)
-                and element.is_variable_length
-            )
-            for step in steps
-            for element in step.pattern.elements
-        ),
     )
 
 
@@ -825,14 +811,6 @@ def explain(
             lines.append(
                 f"+- {keyword} (clause {clause_index + 1}, "
                 f"estimated rows ~{clause_plan.estimate:.1f})"
-            )
-            columnar_active = clause_plan.columnar and getattr(
-                graph, "columnar_enabled", False
-            )
-            lines.append(
-                "|  path: columnar csr frontier"
-                if columnar_active
-                else "|  path: legacy object walk"
             )
             for conjunct in clause_plan.prefilter:
                 lines.append(

@@ -11,10 +11,10 @@ plus the original :class:`~repro.graph.model.Node` / ``Edge`` objects per
 dense id), so public APIs keep returning the same objects as the store.
 
 Adjacency is kept twice per direction: ``eids`` in store insertion order
-(the exact order the legacy matcher observes) and ``typed_eids`` grouped
-by edge-type code with per-node segment offsets, so a single-type
-expansion is one contiguous slice with zero per-edge filtering while
-untyped expansion preserves legacy ordering bit-for-bit.
+(the order an untyped or multi-type expansion observes) and
+``typed_eids`` grouped by edge-type code with per-node segment offsets,
+so a single-type expansion is one contiguous slice with zero per-edge
+filtering while untyped expansion follows store insertion order.
 
 Snapshots are copy-on-write: :meth:`ColumnarGraph.apply_deltas` clones
 the container spine (C-level copies) and layers small mutations on top —
@@ -169,6 +169,8 @@ class ColumnarGraph:
         "dead_nodes", "dead_edges", "base_node_count", "overlay_ops",
         # provenance
         "graph_token", "epoch", "origin", "revision",
+        # reader-owned derived data, never carried across snapshots
+        "memo",
     )
 
     def __init__(self) -> None:
@@ -207,6 +209,7 @@ class ColumnarGraph:
         self.epoch = 0
         self.origin = "full"
         self.revision = 0
+        self.memo: dict[object, object] = {}
 
     # ------------------------------------------------------------------
     # interning
@@ -308,7 +311,7 @@ class ColumnarGraph:
         """(edge, neighbour) dense-id pairs leaving/entering ``nid``.
 
         ``type_code`` None iterates the full row in store insertion
-        order (the caller filters, mirroring the legacy matcher);
+        order (the caller filters);
         :data:`NO_TYPE` yields nothing; any other code walks exactly the
         contiguous typed slice.
         """
@@ -390,6 +393,7 @@ class ColumnarGraph:
         snap.epoch = self.epoch
         snap.origin = self.origin
         snap.revision = self.revision
+        snap.memo = {}
         return snap
 
     def apply_deltas(

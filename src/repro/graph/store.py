@@ -1,9 +1,9 @@
 """Indexed in-memory property-graph store.
 
 This is the reproduction's substitute for Neo4j: a directed multigraph with
-secondary indexes on node labels, edge labels, adjacency and — for the
-query planner — per-(label, property) hash indexes, sufficient to back the
-Cypher interpreter in :mod:`repro.cypher` with index-backed scans.
+secondary indexes on node labels, edge labels and adjacency.  Queries read
+the per-epoch columnar snapshot (:meth:`PropertyGraph.columnar`), whose
+sorted per-(label, property) value indexes back the planner's seeds.
 
 Mutation is node/edge-at-a-time (the study never needs transactions); all
 read paths return stable, deterministic orderings so that experiments are
@@ -49,11 +49,12 @@ def _metric_inc(name: str, value: int = 1) -> None:
 
 
 def property_index_key(value: object) -> object | None:
-    """Normalize a property value into a hash-index key.
+    """Normalize a property value into a value-index key.
 
     Cypher equality treats ``2`` and ``2.0`` as equal but ``true`` and
-    ``1`` as different, while Python's dict hashing conflates all three;
-    the type tag keeps the index faithful to Cypher semantics.  ``None``
+    ``1`` as different, while Python's equality conflates all three;
+    the type tag keeps the columnar value indexes and the catalog's
+    sketches faithful to Cypher semantics.  ``None``
     (no index entry — a null property never equals anything) is returned
     for null and for unindexable values (lists, NaN).
     """
@@ -69,14 +70,10 @@ def property_index_key(value: object) -> object | None:
 
 
 class PropertyGraph:
-    """A directed property multigraph with label, adjacency and property
-    indexes."""
+    """A directed property multigraph with label and adjacency indexes."""
 
-    def __init__(self, name: str = "graph", *, columnar: bool = True) -> None:
+    def __init__(self, name: str = "graph") -> None:
         self.name = name
-        #: escape hatch: ``columnar=False`` keeps every read on the
-        #: legacy dict-of-dicts paths (matcher, catalog) for this graph
-        self.columnar_enabled = columnar
         self._nodes: dict[str, Node] = {}
         self._edges: dict[str, Edge] = {}
         # label -> ordered set of node ids (dict used as ordered set)
@@ -85,10 +82,6 @@ class PropertyGraph:
         # node id -> ordered set of incident edge ids
         self._out_edges: dict[str, dict[str, None]] = defaultdict(dict)
         self._in_edges: dict[str, dict[str, None]] = defaultdict(dict)
-        # (label, property key) -> index key -> ordered set of node ids
-        self._property_index: dict[
-            tuple[str, str], dict[object, dict[str, None]]
-        ] = defaultdict(lambda: defaultdict(dict))
         self._token = next(_GRAPH_TOKENS)
         self._epoch = 0
         self._catalog_cache: tuple[int, "GraphCatalog"] | None = None
@@ -182,15 +175,12 @@ class PropertyGraph:
         Small mutation batches since the cached snapshot are applied
         incrementally from the private change log; large batches, ring
         buffer loss, or any inconsistency fall back to a full recompile
-        (see :mod:`repro.graph.columnar`).  Mid-batch, or when the graph
-        was built with ``columnar=False``, an uncached throwaway
-        snapshot is compiled instead.
+        (see :mod:`repro.graph.columnar`).  Mid-batch, after a mutation,
+        an uncached throwaway snapshot is compiled instead.
         """
         from repro.graph.columnar import compile_graph
 
-        if not self.columnar_enabled or (
-            self._batch_depth and self._batch_dirty
-        ):
+        if self._batch_depth and self._batch_dirty:
             return compile_graph(self)
         cached = self._columnar_cache
         if cached is not None and cached.epoch == self._epoch:
@@ -225,7 +215,7 @@ class PropertyGraph:
         skips compilation entirely."""
         snapshot.graph_token, snapshot.epoch = self.fingerprint()
         self._columnar_cache = snapshot
-        if self.columnar_enabled and self._columnar_log is None:
+        if self._columnar_log is None:
             self._columnar_log = GraphChangeLog().attach(self)
 
     def invalidate_columnar(self) -> None:
@@ -245,31 +235,20 @@ class PropertyGraph:
     def catalog(self) -> "GraphCatalog":
         """The planner-grade statistics catalog, cached per epoch.
 
-        With the columnar core enabled the catalog is derived from the
-        CSR snapshot's interned counters in O(distinct values) — and
-        when that snapshot was itself maintained incrementally from the
-        change log, so was the catalog, replacing the O(graph) rescan
-        watch mode used to trigger on every debounce tick.
+        Derived from the CSR snapshot's interned counters in
+        O(distinct values) — and when that snapshot was itself
+        maintained incrementally from the change log, so was the
+        catalog, with no O(graph) rescan.
         """
+        from repro.graph.statistics import catalog_from_columnar
+
         cached = self._catalog_cache
         if cached is not None and cached[0] == self._epoch:
             return cached[1]
-        if self.columnar_enabled and not self._batch_depth:
-            from repro.graph.statistics import catalog_from_columnar
-
-            try:
-                snapshot = self.columnar()
-            except Exception:
-                snapshot = None  # legacy rescan below
-            if snapshot is not None:
-                catalog = catalog_from_columnar(snapshot)
-                if snapshot.origin == "incremental":
-                    _metric_inc("graph.catalog.incremental_updates")
-                self._catalog_cache = (self._epoch, catalog)
-                return catalog
-        from repro.graph.statistics import build_catalog
-
-        catalog = build_catalog(self)
+        snapshot = self.columnar()
+        catalog = catalog_from_columnar(snapshot)
+        if snapshot.origin == "incremental":
+            _metric_inc("graph.catalog.incremental_updates")
         self._catalog_cache = (self._epoch, catalog)
         return catalog
 
@@ -289,7 +268,6 @@ class PropertyGraph:
         self._nodes[node.id] = node
         for label in node.labels:
             self._nodes_by_label[label][node.id] = None
-        self._index_node_properties(node)
         self._touch()
         self._emit(
             DeltaKind.NODE_ADDED,
@@ -331,11 +309,8 @@ class PropertyGraph:
 
     def update_node(self, node_id: str, properties: Properties) -> Node:
         """Merge ``properties`` into an existing node."""
-        node = self.node(node_id)
-        self._deindex_node_properties(node, properties.keys())
-        updated = node.with_properties(properties)
+        updated = self.node(node_id).with_properties(properties)
         self._nodes[node_id] = updated
-        self._index_node_properties(updated, properties.keys())
         self._touch()
         self._emit(
             DeltaKind.NODE_PROPS,
@@ -347,9 +322,7 @@ class PropertyGraph:
 
     def remove_node_property(self, node_id: str, key: str) -> Node:
         """Drop a property from an existing node (no-op if absent)."""
-        node = self.node(node_id)
-        self._deindex_node_properties(node, (key,))
-        updated = node.without_property(key)
+        updated = self.node(node_id).without_property(key)
         self._nodes[node_id] = updated
         self._touch()
         self._emit(
@@ -407,7 +380,6 @@ class PropertyGraph:
             self._nodes_by_label[label].pop(node_id, None)
         self._out_edges.pop(node_id, None)
         self._in_edges.pop(node_id, None)
-        self._deindex_node_properties(node, node.properties.keys())
         self._touch()
         self._emit(
             DeltaKind.NODE_REMOVED,
@@ -415,40 +387,6 @@ class PropertyGraph:
             labels=tuple(sorted(node.labels)),
             keys=tuple(sorted(node.properties)),
         )
-
-    # ------------------------------------------------------------------
-    # property-index maintenance
-    # ------------------------------------------------------------------
-    def _index_node_properties(
-        self, node: Node, keys: Iterable[str] | None = None
-    ) -> None:
-        for key in (node.properties.keys() if keys is None else keys):
-            if key not in node.properties:
-                continue
-            index_key = property_index_key(node.properties[key])
-            if index_key is None:
-                continue
-            for label in node.labels:
-                self._property_index[(label, key)][index_key][node.id] = None
-
-    def _deindex_node_properties(
-        self, node: Node, keys: Iterable[str]
-    ) -> None:
-        for key in keys:
-            if key not in node.properties:
-                continue
-            index_key = property_index_key(node.properties[key])
-            if index_key is None:
-                continue
-            for label in node.labels:
-                bucket = self._property_index.get((label, key))
-                if bucket is None:
-                    continue
-                entries = bucket.get(index_key)
-                if entries is not None:
-                    entries.pop(node.id, None)
-                    if not entries:
-                        del bucket[index_key]
 
     # ------------------------------------------------------------------
     # lookups
@@ -481,35 +419,6 @@ class PropertyGraph:
         else:
             for node_id in self._nodes_by_label.get(label, ()):
                 yield self._nodes[node_id]
-
-    def nodes_where(
-        self, label: str, key: str, value: object
-    ) -> Iterator[Node]:
-        """Nodes with ``label`` whose property ``key`` equals ``value``.
-
-        Backed by the hash property index: O(matches), not O(label).
-        Unindexable values (null, lists, NaN) yield nothing — in Cypher a
-        null property never satisfies an equality predicate, and list
-        equality is handled by the matcher's scan path instead.
-        """
-        index_key = property_index_key(value)
-        if index_key is None:
-            return
-        bucket = self._property_index.get((label, key))
-        if bucket is None:
-            return
-        for node_id in bucket.get(index_key, ()):
-            yield self._nodes[node_id]
-
-    def count_where(self, label: str, key: str, value: object) -> int:
-        """Number of nodes :meth:`nodes_where` would yield (O(1))."""
-        index_key = property_index_key(value)
-        if index_key is None:
-            return 0
-        bucket = self._property_index.get((label, key))
-        if bucket is None:
-            return 0
-        return len(bucket.get(index_key, ()))
 
     def edges(self, label: str | None = None) -> Iterator[Edge]:
         """Iterate edges, optionally restricted to one label (index scan)."""

@@ -170,3 +170,44 @@ class TestPatternExists:
         assert not pattern_exists(
             chain_graph, pattern, {"x": chain_graph.node("b")}
         )
+
+
+class TestParametersInPatternMaps:
+    """``$param`` inside a pattern property map resolves like anywhere
+    else in the query, on every pattern position."""
+
+    @pytest.fixture()
+    def graph(self):
+        g = PropertyGraph()
+        g.add_node("a1", "A", {"v": 1})
+        g.add_node("a2", "A", {"v": 2})
+        g.add_node("b1", "B", {"v": 2})
+        g.add_node("b2", "B", {"v": 3})
+        g.add_edge("e1", "R", "a1", "b1", {"w": 5})
+        g.add_edge("e2", "R", "a2", "b2", {"w": 6})
+        return g
+
+    def count(self, graph, text, x):
+        from repro.cypher import execute
+
+        return execute(graph, text, {"x": x}).scalar()
+
+    def test_start_node_map(self, graph):
+        text = "MATCH (n:A {v: $x})-[:R]->(m) RETURN count(*) AS c"
+        assert self.count(graph, text, 2) == 1
+        assert self.count(graph, text, 9) == 0
+
+    def test_hop_target_map(self, graph):
+        text = "MATCH (n:A)-[:R]->(:B {v: $x}) RETURN count(*) AS c"
+        assert self.count(graph, text, 2) == 1
+        assert self.count(graph, text, 1) == 0
+
+    def test_relationship_map(self, graph):
+        text = "MATCH (n:A)-[:R {w: $x}]->(m) RETURN count(*) AS c"
+        assert self.count(graph, text, 6) == 1
+        assert self.count(graph, text, 7) == 0
+
+    def test_pattern_predicate_map(self, graph):
+        text = "MATCH (n:A) WHERE (n)-[:R]->(:B {v: $x}) RETURN count(*) AS c"
+        assert self.count(graph, text, 3) == 1
+        assert self.count(graph, text, 1) == 0

@@ -11,7 +11,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cypher import execute
+from repro.cypher import CypherError, execute
 from repro.graph import PropertyGraph
 
 LABELS = ("A", "B")
@@ -167,3 +167,279 @@ def test_two_hop_matches_oracle(data):
             if i != j and d1 == s2:
                 oracle += 1
     assert engine == oracle
+
+
+# ----------------------------------------------------------------------
+# richer graphs: self-loops, unicode and stored-None values, mutations
+# ----------------------------------------------------------------------
+_UNICODE = ("", "å", "日本", "ß∂ƒ", "naïve", "🎈")
+
+
+class Model:
+    """A graph and its straight-Python mirror, mutated together.
+
+    ``nodes`` maps id -> (label, properties); ``edges`` maps id ->
+    (src, rel, dst, properties).  Every node carries a unique ``k``.
+    """
+
+    def __init__(self):
+        self.graph = PropertyGraph("oracle")
+        self.nodes = {}
+        self.edges = {}
+
+    def add_node(self, node_id, label, properties):
+        self.graph.add_node(node_id, label, properties)
+        self.nodes[node_id] = (label, dict(properties))
+
+    def add_edge(self, edge_id, rel, src, dst, properties=None):
+        self.graph.add_edge(edge_id, rel, src, dst, properties or {})
+        self.edges[edge_id] = (src, rel, dst, dict(properties or {}))
+
+    def update_node(self, node_id, properties):
+        self.graph.update_node(node_id, properties)
+        self.nodes[node_id][1].update(properties)
+
+    def remove_edge(self, edge_id):
+        self.graph.remove_edge(edge_id)
+        del self.edges[edge_id]
+
+    def remove_node(self, node_id):
+        self.graph.remove_node(node_id)
+        del self.nodes[node_id]
+        self.edges = {
+            eid: edge for eid, edge in self.edges.items()
+            if node_id not in (edge[0], edge[2])
+        }
+
+    def prop(self, node_id, key):
+        return self.nodes[node_id][1].get(key)
+
+    def of_label(self, label):
+        return [nid for nid, (lbl, _p) in self.nodes.items() if lbl == label]
+
+    def rel_edges(self, rel):
+        return [
+            (eid, src, dst, props)
+            for eid, (src, r, dst, props) in self.edges.items() if r == rel
+        ]
+
+    def trails(self, start, rel, lo, hi, direction, used=frozenset()):
+        """Every edge-distinct walk of lo..hi ``rel`` hops from ``start``
+        as (edge ids, end); an undirected self-loop is taken both ways."""
+        found = []
+
+        def step(at, path):
+            if len(path) >= lo:
+                found.append((tuple(path), at))
+            if len(path) >= hi:
+                return
+            for eid, (src, r, dst, _p) in self.edges.items():
+                if r != rel or eid in path or eid in used:
+                    continue
+                if direction in ("out", "any") and src == at:
+                    step(dst, path + [eid])
+                if direction in ("in", "any") and dst == at:
+                    step(src, path + [eid])
+
+        step(start, [])
+        return found
+
+
+@st.composite
+def rich_models(draw):
+    model = Model()
+    node_count = draw(st.integers(min_value=1, max_value=7))
+    for index in range(node_count):
+        properties = {"k": index, "v": draw(st.integers(0, 3))}
+        if draw(st.booleans()):
+            properties["u"] = draw(st.sampled_from(_UNICODE))
+        if draw(st.booleans()):
+            properties["nil"] = None          # stored null, not absent
+        model.add_node(f"n{index}", draw(st.sampled_from(LABELS)), properties)
+    for number in range(draw(st.integers(0, 2 * node_count))):
+        src = draw(st.integers(0, node_count - 1))
+        # bias towards self-loops: a third of the edges close on src
+        dst = src if draw(st.integers(0, 2)) == 0 else draw(
+            st.integers(0, node_count - 1)
+        )
+        properties = {"w": draw(st.integers(0, 2))} if draw(
+            st.booleans()
+        ) else {}
+        model.add_edge(
+            f"e{number}", draw(st.sampled_from(RELS)),
+            f"n{src}", f"n{dst}", properties,
+        )
+    return model
+
+
+def outcome(graph, text, parameters=None):
+    """Engine rows as a multiset of column tuples, or the error class."""
+    try:
+        result = execute(graph, text, parameters)
+    except CypherError as error:
+        return ("error", type(error).__name__)
+    return ("ok", Counter(
+        tuple(row[column] for column in result.columns)
+        for row in result.rows
+    ))
+
+
+def ok(rows):
+    return ("ok", Counter(rows))
+
+
+def raises_type_error_if(condition, rows=()):
+    return ("error", "CypherTypeError") if condition else ok(rows)
+
+
+def _k(model, node_id):
+    return model.prop(node_id, "k")
+
+
+# each entry: (query text, oracle(model, x) -> expected outcome); ``$x``
+# is a drawn unicode value (or None)
+BATTERY = (
+    # self-loops: a directed loop binds a = b once ...
+    ("MATCH (a)-[:R]->(a) RETURN a.k AS k",
+     lambda m, x: ok((_k(m, s),) for _e, s, d, _p in m.rel_edges("R")
+                     if s == d)),
+    # ... an undirected one twice (once per direction)
+    ("MATCH (a)-[:S]-(a) RETURN count(*) AS c",
+     lambda m, x: ok([(2 * sum(1 for _e, s, d, _p in m.rel_edges("S")
+                               if s == d),)])),
+    # variable-length: bounds, directions, edge-list binding
+    ("MATCH (a)-[r:R*0..2]->(b) RETURN a.k AS a, b.k AS b, size(r) AS n",
+     lambda m, x: ok((_k(m, a), _k(m, end), len(path))
+                     for a in m.nodes
+                     for path, end in m.trails(a, "R", 0, 2, "out"))),
+    ("MATCH (a:A)-[r:R*1..3]->(b) RETURN a.k AS a, b.k AS b, size(r) AS n",
+     lambda m, x: ok((_k(m, a), _k(m, end), len(path))
+                     for a in m.of_label("A")
+                     for path, end in m.trails(a, "R", 1, 3, "out"))),
+    ("MATCH (a)-[r:S*1..2]-(b:B) RETURN a.k AS a, b.k AS b, size(r) AS n",
+     lambda m, x: ok((_k(m, a), _k(m, end), len(path))
+                     for a in m.nodes
+                     for path, end in m.trails(a, "S", 1, 2, "any")
+                     if m.nodes[end][0] == "B")),
+    ("MATCH (a)<-[:R*2..2]-(b) RETURN a.k AS a, b.k AS b",
+     lambda m, x: ok((_k(m, a), _k(m, end))
+                     for a in m.nodes
+                     for _path, end in m.trails(a, "R", 2, 2, "in"))),
+    # edge uniqueness spans the clause, var-length hops included
+    ("MATCH (a)-[:R]->(b), (b)-[:R*1..2]->(c) RETURN count(*) AS c",
+     lambda m, x: ok([(sum(len(m.trails(d, "R", 1, 2, "out", {e}))
+                           for e, _s, d, _p in m.rel_edges("R")),)])),
+    # pattern predicates, negated and undirected
+    ("MATCH (n) WHERE NOT (n)-[:R]->(:B) RETURN n.k AS k",
+     lambda m, x: ok((_k(m, n),) for n in m.nodes
+                     if not any(s == n and m.nodes[d][0] == "B"
+                                for _e, s, d, _p in m.rel_edges("R")))),
+    ("MATCH (n:A) WHERE (n)-[:S]-(:A) RETURN n.k AS k",
+     lambda m, x: ok((_k(m, n),) for n in m.of_label("A")
+                     if any(n in (s, d) and m.nodes[d if s == n else s][0]
+                            == "A" for _e, s, d, _p in m.rel_edges("S")))),
+    # unicode / stored-None values compared with a parameter, in WHERE,
+    # in a start node map, a hop-target map and a pattern predicate
+    ("MATCH (a) WHERE a.u = $x RETURN a.k AS k",
+     lambda m, x: ok((_k(m, n),) for n in m.nodes
+                     if x is not None and m.prop(n, "u") == x)),
+    ("MATCH (a {u: $x}) RETURN a.k AS k",
+     lambda m, x: ok((_k(m, n),) for n in m.nodes
+                     if x is not None and m.prop(n, "u") == x)),
+    ("MATCH (a)-[:R]->(b {u: $x}) RETURN a.k AS a, b.k AS b",
+     lambda m, x: ok((_k(m, s), _k(m, d))
+                     for _e, s, d, _p in m.rel_edges("R")
+                     if x is not None and m.prop(d, "u") == x)),
+    ("MATCH (a) WHERE (a)-[:S]->({u: $x}) RETURN a.k AS k",
+     lambda m, x: ok((_k(m, n),) for n in m.nodes
+                     if x is not None and any(
+                         s == n and m.prop(d, "u") == x
+                         for _e, s, d, _p in m.rel_edges("S")))),
+    ("MATCH (a) WHERE a.nil IS NULL AND a.u IS NOT NULL RETURN a.u AS u",
+     lambda m, x: ok((m.prop(n, "u"),) for n in m.nodes
+                     if m.prop(n, "u") is not None)),
+    ("MATCH (a)-[r:R {w: 1}]->(b) RETURN a.k AS a, b.k AS b",
+     lambda m, x: ok((_k(m, s), _k(m, d))
+                     for _e, s, d, p in m.rel_edges("R")
+                     if p.get("w") == 1)),
+    # multi-type relationship: no single typed slice applies
+    ("MATCH (a:A)-[:R|S]->(b) RETURN a.k AS a, b.k AS b",
+     lambda m, x: ok((_k(m, s), _k(m, d))
+                     for s, _r, d, _p in m.edges.values()
+                     if m.nodes[s][0] == "A")),
+    # unicode values surviving grouping
+    ("MATCH (a) WHERE a.u IS NOT NULL RETURN a.u AS u, count(*) AS c",
+     lambda m, x: ok(Counter(
+         m.prop(n, "u") for n in m.nodes if m.prop(n, "u") is not None
+     ).items())),
+    # typed errors: string arithmetic raises on the first row reaching it
+    ("MATCH (a) WHERE a.u - 1 = 0 RETURN a.k AS k",
+     lambda m, x: raises_type_error_if(
+         any(m.prop(n, "u") is not None for n in m.nodes))),
+    ("MATCH (a)-[:R*1..2]->(b) WHERE b.u - 1 = 0 RETURN count(*) AS c",
+     lambda m, x: raises_type_error_if(
+         any(m.prop(end, "u") is not None
+             for a in m.nodes
+             for _path, end in m.trails(a, "R", 1, 2, "out")),
+         [(0,)])),
+    ("MATCH (a) WHERE (a)-[:R]->() RETURN a.k - a.u AS d",
+     lambda m, x: raises_type_error_if(
+         any(m.prop(s, "u") is not None
+             for _e, s, _d, _p in m.rel_edges("R")),
+         [(None,)] * len({s for _e, s, _d, _p in m.rel_edges("R")}))),
+)
+
+_PARAM_VALUES = st.sampled_from(_UNICODE + (None,))
+
+
+def assert_battery(model, x):
+    for text, oracle in BATTERY:
+        assert outcome(model.graph, text, {"x": x}) == oracle(model, x), text
+
+
+@given(model=rich_models(), x=_PARAM_VALUES)
+@settings(max_examples=150, deadline=None)
+def test_battery_matches_oracle(model, x):
+    assert_battery(model, x)
+
+
+@given(model=rich_models(), x=_PARAM_VALUES)
+@settings(max_examples=80, deadline=None)
+def test_battery_matches_oracle_after_mutation(model, x):
+    """Queries on an incrementally updated CSR snapshot."""
+    model.graph.columnar()              # compile, so mutations go incremental
+    node_ids = list(model.nodes)
+    model.update_node(node_ids[0], {"v": 3, "u": "après"})
+    model.add_node("extra", "A", {"k": 100, "v": 1, "u": x})
+    model.add_edge("x1", "R", node_ids[0], "extra", {"w": 1})
+    model.add_edge("x2", "S", "extra", "extra")
+    if model.edges:
+        model.remove_edge(next(iter(model.edges)))
+    if len(node_ids) > 1:
+        model.remove_node(node_ids[-1])
+    assert model.graph.columnar().origin == "incremental"
+    assert_battery(model, x)
+
+
+@given(model=rich_models())
+@settings(max_examples=60, deadline=None)
+def test_create_then_merge_matches_oracle(model):
+    """MERGE matches what CREATE wrote earlier in the same query, and
+    a second MERGE matches what the first one created."""
+    starts = len(model.of_label("A"))
+    graph = model.graph
+    graph.columnar()
+    created = execute(
+        graph,
+        "MATCH (a:A) CREATE (a)-[:T]->(:M {k: a.k}) "
+        "WITH a MERGE (a)-[:T]->(m:M) RETURN a.k = m.k AS same",
+    )
+    assert created.values() == [True] * starts
+    merged = execute(
+        graph,
+        "MATCH (a:A) MERGE (a)-[:U]->(m:M2) "
+        "WITH a, m MERGE (a)-[:U]->(m2:M2) RETURN m = m2 AS same",
+    )
+    assert merged.values() == [True] * starts
+    assert graph.node_count("M") == graph.edge_count("T") == starts
+    assert graph.node_count("M2") == graph.edge_count("U") == starts

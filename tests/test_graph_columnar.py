@@ -2,28 +2,28 @@
 
 Covers compilation parity against the object store, epoch caching,
 incremental maintenance from the change log (including the fallback to
-a full recompile when the delta budget is blown), catalog derivation,
-the checksummed wire artifact, the ``columnar=False`` escape hatch, the
-O(1) ``order()``/``size()`` accessors and the EXPLAIN path line.
+a full recompile when the delta budget is blown), catalog derivation
+checked against a straight-Python recount, the checksummed wire
+artifact and the O(1) ``order()``/``size()`` accessors.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro import obs
-from repro.cypher import Executor, clear_plan_caches, explain, parse
 from repro.graph import (
     ColumnarArtifactError,
     PropertyGraph,
     compile_graph,
 )
 from repro.graph.columnar import from_payload, to_payload
-from repro.graph.statistics import build_catalog
+from repro.graph.store import property_index_key
 
 
-def sample_graph(*, columnar: bool = True) -> PropertyGraph:
-    graph = PropertyGraph("csr-sample", columnar=columnar)
+def sample_graph() -> PropertyGraph:
+    graph = PropertyGraph("csr-sample")
     graph.add_node("a", "User", {"id": 1, "name": "alice"})
     graph.add_node("b", "User", {"id": 2, "name": "bob"})
     graph.add_node("c", ("User", "Admin"), {"id": 3})
@@ -45,6 +45,41 @@ def collector():
 
 def counter(collector, name: str) -> float:
     return collector.metrics.counter(name).value()
+
+
+def assert_catalog_matches_recount(catalog, graph) -> None:
+    """The catalog agrees with counts taken straight off the store."""
+    assert catalog.node_count == graph.order()
+    assert catalog.edge_count == graph.size()
+    labels = Counter(label for node in graph.nodes() for label in node.labels)
+    assert catalog.label_counts == dict(labels)
+    values: dict[tuple[str, str], Counter] = {}
+    for node in graph.nodes():
+        for key, value in node.properties.items():
+            if property_index_key(value) is None:
+                continue
+            for label in node.labels:
+                values.setdefault((label, key), Counter())[
+                    property_index_key(value)
+                ] += 1
+    assert set(catalog.property_sketches) == set(values)
+    for pair, counts in values.items():
+        sketch = catalog.property_sketches[pair]
+        assert (sketch.present, sketch.distinct) == (
+            sum(counts.values()), len(counts),
+        )
+        assert all(counts[key] == count for key, count in sketch.top)
+        assert len(sketch.top) == min(len(counts), 8)
+        top = dict(sketch.top)
+        rest = [count for key, count in counts.items() if key not in top]
+        assert min(top.values(), default=0) >= max(rest, default=0)
+    for etype in graph.edge_labels():
+        edges = list(graph.edges(etype))
+        stats = catalog.edge_stats[etype]
+        assert stats.count == len(edges)
+        assert stats.distinct_src == len({edge.src for edge in edges})
+        assert stats.distinct_dst == len({edge.dst for edge in edges})
+    assert set(catalog.edge_stats) == set(graph.edge_labels())
 
 
 def assert_snapshot_matches_store(snapshot, graph) -> None:
@@ -91,17 +126,22 @@ class TestCompile:
         assert snapshot.edge_prop(eid, "since") == 2020
 
     def test_index_candidates_match_nodes_where(self):
-        from repro.graph.store import property_index_key
+        def nodes_where(label, key, value):
+            return [
+                node.id for node in graph.nodes(label)
+                if node.properties.get(key) == value
+            ]
 
         graph = sample_graph()
         snapshot = graph.columnar()
-        got = {
-            snapshot.node_objs[nid].id
-            for nid in snapshot.index_candidates(
-                "User", "id", property_index_key(2)
-            )
-        }
-        assert got == {n.id for n in graph.nodes_where("User", "id", 2)}
+        for value in (1, 2, 2.0, 3, 99):
+            got = [
+                snapshot.node_objs[nid].id
+                for nid in snapshot.index_candidates(
+                    "User", "id", property_index_key(value)
+                )
+            ]
+            assert got == nodes_where("User", "id", value)
 
     def test_epoch_caching(self):
         graph = sample_graph()
@@ -185,42 +225,22 @@ class TestIncremental:
 
 
 class TestCatalog:
-    def test_catalog_matches_legacy_rescan(self):
+    def test_catalog_matches_oracle(self):
         graph = sample_graph()
-        columnar = graph.catalog()
-        legacy = build_catalog(graph)
-        assert columnar.node_count == legacy.node_count
-        assert columnar.edge_count == legacy.edge_count
-        assert columnar.label_counts == legacy.label_counts
-        assert columnar.edge_stats == legacy.edge_stats
-        assert set(columnar.property_sketches) == set(
-            legacy.property_sketches
-        )
-        for key, sketch in legacy.property_sketches.items():
-            other = columnar.property_sketches[key]
-            assert other.present == sketch.present
-            assert other.distinct == sketch.distinct
-            assert dict(other.top) == dict(sketch.top)
+        assert_catalog_matches_recount(graph.catalog(), graph)
 
     def test_catalog_maintained_incrementally(self, collector):
         graph = sample_graph()
         graph.catalog()
         graph.add_node("d", "User", {"id": 4})
         graph.add_edge("e5", "POSTS", "d", "t")
+        graph.update_node("b", {"id": 1})
+        graph.remove_edge("e3")
         updated = graph.catalog()
         assert counter(
             collector, "graph.catalog.incremental_updates"
         ) == 1
-        legacy = build_catalog(graph)
-        assert updated.label_counts == legacy.label_counts
-        assert updated.edge_stats == legacy.edge_stats
-        assert updated.node_count == legacy.node_count
-        for key, sketch in legacy.property_sketches.items():
-            other = updated.property_sketches[key]
-            assert (other.present, other.distinct) == (
-                sketch.present, sketch.distinct,
-            )
-            assert dict(other.top) == dict(sketch.top)
+        assert_catalog_matches_recount(updated, graph)
 
 
 class TestOrderSize:
@@ -289,53 +309,3 @@ class TestArtifact:
         # mutations after adoption go incremental off the artifact
         target.update_node("a", {"name": "post-adopt"})
         assert target.columnar().origin == "incremental"
-
-
-class TestEscapeHatch:
-    def test_columnar_disabled_graph_compiles_throwaway(self):
-        graph = sample_graph(columnar=False)
-        assert graph.columnar_enabled is False
-        first = graph.columnar()
-        second = graph.columnar()
-        assert first is not second                # never cached
-        assert_snapshot_matches_store(first, graph)
-
-    def test_executor_escape_hatch_uses_legacy_matcher(self, collector):
-        graph = sample_graph()
-        clear_plan_caches()
-        query = parse("MATCH (a:User)-[:FOLLOWS]->(b) RETURN count(*) AS c")
-        fast = Executor(graph, columnar=True).run(query)
-        assert counter(collector, "matcher.csr.frontier_expansions") > 0
-        before = counter(collector, "matcher.csr.frontier_expansions")
-        slow = Executor(graph, columnar=False).run(query)
-        assert counter(
-            collector, "matcher.csr.frontier_expansions"
-        ) == before                               # legacy path: no frontiers
-        assert fast.rows == slow.rows
-
-
-class TestExplain:
-    def test_explain_reports_columnar_path(self):
-        graph = sample_graph()
-        clear_plan_caches()
-        text = explain(
-            parse("MATCH (a:User)-[:FOLLOWS]->(b) RETURN a.id AS i"), graph
-        )
-        assert "path: columnar csr frontier" in text
-
-    def test_explain_reports_legacy_for_var_length(self):
-        graph = sample_graph()
-        clear_plan_caches()
-        text = explain(
-            parse("MATCH (a)-[:FOLLOWS*1..2]->(b) RETURN count(*) AS c"),
-            graph,
-        )
-        assert "path: legacy object walk" in text
-
-    def test_explain_reports_legacy_when_disabled(self):
-        graph = sample_graph(columnar=False)
-        clear_plan_caches()
-        text = explain(
-            parse("MATCH (a:User)-[:FOLLOWS]->(b) RETURN a.id AS i"), graph
-        )
-        assert "path: legacy object walk" in text
