@@ -86,6 +86,12 @@ AB_QUERY = (
     "MATCH (p:Person)-[:SCORED_GOAL]->(m:Match) "
     "WHERE p.id = 7 RETURN count(*) AS c"
 )
+#: the same pattern through a non-count projection: AB_QUERY itself is
+#: answered by count pushdown, which never enters the matcher
+AB_ROWS_QUERY = (
+    "MATCH (p:Person)-[:SCORED_GOAL]->(m:Match) "
+    "WHERE p.id = 7 RETURN m.id AS m"
+)
 
 
 def _run(graph, text, planner):
@@ -140,9 +146,9 @@ def test_planner_halves_expansions(graph):
     planner on, measured through the obs counters."""
     from repro.cypher import default_planner
 
-    on, on_seeds, on_exp = _expansions(graph, AB_QUERY, default_planner())
-    off, off_seeds, off_exp = _expansions(graph, AB_QUERY, None)
-    assert on.scalar() == off.scalar()
+    on, on_seeds, on_exp = _expansions(graph, AB_ROWS_QUERY, default_planner())
+    off, off_seeds, off_exp = _expansions(graph, AB_ROWS_QUERY, None)
+    assert on.rows == off.rows
     assert off_seeds >= 2 * max(on_seeds, 1)
     assert off_exp >= 2 * max(on_exp, 1)
 
@@ -193,8 +199,9 @@ def test_planner_halves_expansions_three_clause_join(graph):
 # ----------------------------------------------------------------------
 # CSR frontier work, pinned
 # ----------------------------------------------------------------------
-def _visits(graph, text):
-    """(rows, matcher.visits, csr frontier expansions) for one run."""
+def _visits(graph, text, *extra):
+    """(rows, (matcher.visits, csr frontier expansions, *extra counter
+    totals)) for one run."""
     from repro import obs
     from repro.cypher import Executor, clear_plan_caches
 
@@ -202,13 +209,13 @@ def _visits(graph, text):
     collector = obs.install()
     try:
         result = Executor(graph).run(parse(text))
-        visits = collector.metrics.counter("matcher.visits").total()
-        frontiers = collector.metrics.counter(
-            "matcher.csr.frontier_expansions"
-        ).total()
+        names = ("matcher.visits", "matcher.csr.frontier_expansions") + extra
+        totals = tuple(
+            collector.metrics.counter(name).total() for name in names
+        )
     finally:
         obs.uninstall()
-    return result, visits, frontiers
+    return result, totals
 
 
 def _run_default(graph, text):
@@ -233,14 +240,22 @@ def test_csr_selective_filter_visits_pinned(graph):
     """Typed CSR slices touch only edges of the requested type: the
     index-seeded Person has no SCORED_GOAL edge, so one slice fetch and
     zero adjacency entries (the untyped row it skips holds 42)."""
-    result, visits, frontiers = _visits(graph, AB_QUERY)
-    assert result.scalar() == 0
+    result, (visits, frontiers) = _visits(graph, AB_ROWS_QUERY)
+    assert result.rows == []
     assert (visits, frontiers) == (0, 1)
+
+
+def test_count_pushdown_pinned(graph):
+    """The count form of the same pattern is one hop_scan pushdown over
+    the snapshot: no matcher visit and no frontier is recorded."""
+    result, counts = _visits(graph, AB_QUERY, "cypher.count_pushdown")
+    assert result.scalar() == 0
+    assert counts == (0, 0, 1)
 
 
 def test_csr_three_clause_join_visits_pinned(graph):
     """Same pin on the 3-pattern-join workload (the untyped rows it
     skips hold 21 entries)."""
-    result, visits, frontiers = _visits(graph, JOIN3_QUERY)
+    result, (visits, frontiers) = _visits(graph, JOIN3_QUERY)
     assert result.scalar() == 3
     assert (visits, frontiers) == (5, 3)

@@ -225,13 +225,15 @@ class _Renamer:
 # ----------------------------------------------------------------------
 # variable invariants → canonical renaming
 # ----------------------------------------------------------------------
+class _Eraser(_Renamer):
+    """A renamer mapping every variable to ``?``."""
+
+    def name(self, original: str) -> str:
+        return "?"
+
+
 def _shape_text(expr: Expression) -> str:
     """Render with every variable erased — a name-free conjunct shape."""
-
-    class _Eraser(_Renamer):
-        def name(self, original: str) -> str:
-            return "?"
-
     return _Eraser({}).text(expr)
 
 

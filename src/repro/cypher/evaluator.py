@@ -9,6 +9,7 @@ extracts them from projections and calls
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
@@ -168,7 +169,10 @@ def _arith(op: str, left: object, right: object) -> object:
             raise CypherTypeError("modulo by zero")
         return left % right
     if op == "^":
-        return float(left) ** float(right)
+        try:
+            return math.pow(left, right)
+        except (ValueError, OverflowError) as error:
+            raise CypherTypeError(f"{left!r} ^ {right!r}: {error}") from error
     raise CypherSemanticError(f"unknown arithmetic operator {op!r}")
 
 

@@ -5,6 +5,10 @@ clauses.  Projections implement Cypher's implicit grouping: if any
 projection item contains an aggregate, the non-aggregate items become the
 grouping key and aggregates are computed per group (including the
 one-empty-group rule for global aggregation over zero rows).
+
+A query the planner marks for count pushdown (a lone ``RETURN count(*)``
+over one node or hop, or the uniqueness shape) is instead answered from
+the CSR snapshot's counters and columns without building any row.
 """
 
 from __future__ import annotations
@@ -44,18 +48,33 @@ from repro.cypher.errors import (
 )
 from repro.cypher.evaluator import EvalContext, contains_aggregate, evaluate
 from repro.cypher.functions import aggregate, is_aggregate
-from repro.cypher.matcher import MatchStats, Path, match_patterns
+from repro.cypher.matcher import (
+    MatchStats,
+    Path,
+    count_pattern,
+    match_patterns,
+)
 from repro.cypher.parser import parse
 from repro.graph.model import Edge, Node
-from repro.graph.store import PropertyGraph
+from repro.graph.store import PropertyGraph, property_index_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cypher.planner import ClausePlan, QueryPlan, QueryPlanner
+    from repro.cypher.planner import (
+        ClausePlan,
+        CountPushdown,
+        QueryPlan,
+        QueryPlanner,
+    )
+    from repro.graph.columnar import ColumnarGraph
 
 Row = dict[str, object]
 
 #: sentinel meaning "use the process-wide default planner"
 _DEFAULT = object()
+
+#: ints beyond this magnitude are not exact as floats, so the value
+#: index (keyed on floats) could merge values that grouping keeps apart
+_FLOAT_EXACT_INT = 2 ** 53
 
 
 @dataclass
@@ -132,26 +151,28 @@ def _sort_key(value: object) -> tuple:
 def _collect_aggregates(expr: Expression) -> list[FunctionCall]:
     """Outermost aggregate calls inside ``expr`` (document order)."""
     found: list[FunctionCall] = []
-
-    def visit(node: Expression) -> None:
-        if isinstance(node, FunctionCall) and is_aggregate(node.name):
-            found.append(node)
-            return  # aggregates cannot nest in Cypher
-        for attr in getattr(node, "__dataclass_fields__", {}):
-            value = getattr(node, attr)
-            if isinstance(value, Expression):
-                visit(value)
-            elif isinstance(value, tuple):
-                for item in value:
-                    if isinstance(item, Expression):
-                        visit(item)
-                    elif isinstance(item, tuple):
-                        for sub in item:
-                            if isinstance(sub, Expression):
-                                visit(sub)
-
-    visit(expr)
+    _visit_aggregates(expr, found)
     return found
+
+
+def _visit_aggregates(node: Expression, found: list[FunctionCall]) -> None:
+    # module level, not a closure: a self-recursive closure is a
+    # reference cycle, left to the cyclic collector after every call
+    if isinstance(node, FunctionCall) and is_aggregate(node.name):
+        found.append(node)
+        return  # aggregates cannot nest in Cypher
+    for attr in getattr(node, "__dataclass_fields__", {}):
+        value = getattr(node, attr)
+        if isinstance(value, Expression):
+            _visit_aggregates(value, found)
+        elif isinstance(value, tuple):
+            for item in value:
+                if isinstance(item, Expression):
+                    _visit_aggregates(item, found)
+                elif isinstance(item, tuple):
+                    for sub in item:
+                        if isinstance(sub, Expression):
+                            _visit_aggregates(sub, found)
 
 
 class _AggregateScope(EvalContext):
@@ -178,46 +199,52 @@ def _evaluate_with_aggregates(
         return ctx.aggregate_values[expr]
     # rebuild children through the normal evaluator by temporarily
     # swapping aggregate subtrees for literals
+    return evaluate(_substitute_aggregates(expr, ctx.aggregate_values), ctx)
+
+
+def _substitute_aggregates(
+    node: Expression, values: Mapping[FunctionCall, object]
+) -> Expression:
+    """``node`` with each aggregate subtree replaced by a literal of its
+    precomputed value (module level, so no closure cycle per call)."""
     from repro.cypher import ast_nodes as ast
 
-    def substitute(node: Expression) -> Expression:
-        if isinstance(node, FunctionCall) and is_aggregate(node.name):
-            return ast.Literal(ctx.aggregate_values[node])
-        if not hasattr(node, "__dataclass_fields__"):
-            return node
-        changes = {}
-        for attr in node.__dataclass_fields__:
-            value = getattr(node, attr)
-            if isinstance(value, Expression):
-                new = substitute(value)
-                if new is not value:
-                    changes[attr] = new
-            elif isinstance(value, tuple):
-                new_items = []
-                changed = False
-                for item in value:
-                    if isinstance(item, Expression):
-                        new = substitute(item)
-                        changed = changed or (new is not item)
-                        new_items.append(new)
-                    elif isinstance(item, tuple):
-                        new_sub = tuple(
-                            substitute(s) if isinstance(s, Expression) else s
-                            for s in item
-                        )
-                        changed = changed or (new_sub != item)
-                        new_items.append(new_sub)
-                    else:
-                        new_items.append(item)
-                if changed:
-                    changes[attr] = tuple(new_items)
-        if changes:
-            import dataclasses
-
-            return dataclasses.replace(node, **changes)
+    if isinstance(node, FunctionCall) and is_aggregate(node.name):
+        return ast.Literal(values[node])
+    if not hasattr(node, "__dataclass_fields__"):
         return node
+    changes = {}
+    for attr in node.__dataclass_fields__:
+        value = getattr(node, attr)
+        if isinstance(value, Expression):
+            new = _substitute_aggregates(value, values)
+            if new is not value:
+                changes[attr] = new
+        elif isinstance(value, tuple):
+            new_items = []
+            changed = False
+            for item in value:
+                if isinstance(item, Expression):
+                    new = _substitute_aggregates(item, values)
+                    changed = changed or (new is not item)
+                    new_items.append(new)
+                elif isinstance(item, tuple):
+                    new_sub = tuple(
+                        _substitute_aggregates(s, values)
+                        if isinstance(s, Expression) else s
+                        for s in item
+                    )
+                    changed = changed or (new_sub != item)
+                    new_items.append(new_sub)
+                else:
+                    new_items.append(item)
+            if changed:
+                changes[attr] = tuple(new_items)
+    if changes:
+        import dataclasses
 
-    return evaluate(substitute(expr), ctx)
+        return dataclasses.replace(node, **changes)
+    return node
 
 
 class Executor:
@@ -237,6 +264,8 @@ class Executor:
             planner = default_planner()
         # escape hatch: Executor(graph, planner=None) runs unplanned
         self.planner: "QueryPlanner | None" = planner
+        #: how the last run was answered: "pushdown" or "match"
+        self.count_path = "match"
 
     # ------------------------------------------------------------------
     def _plan(self, query: Query) -> "QueryPlan | None":
@@ -252,9 +281,51 @@ class Executor:
 
     def run(self, query: Query) -> QueryResult:
         plan = self._plan(query)
+        self.count_path = "match"
+        if plan is not None and plan.count is not None:
+            count = self._pushdown_count(plan.count)
+            if count is not None:
+                self.count_path = "pushdown"
+                column = plan.count.column
+                return QueryResult(columns=[column], rows=[{column: count}])
         if isinstance(query, UnionQuery):
             return self._run_union(query, plan)
         return self._run_single(query, plan)
+
+    def _pushdown_count(self, pushdown: "CountPushdown") -> int | None:
+        """Answer a count-pushdown query from the CSR snapshot; None when
+        the data rules the shortcut out (the caller then matches)."""
+        snapshot = self.graph.columnar()
+        shape = pushdown.shape
+        if shape == "unique_key":
+            count = _unique_key_count(snapshot, pushdown.label, pushdown.key)
+            if count is None:
+                return None
+        elif shape == "label_size":
+            labels = pushdown.step.pattern.elements[0].labels
+            count = (
+                snapshot.label_sizes.get(snapshot.label_code.get(labels[0]), 0)
+                if labels else snapshot.node_count()
+            )
+        elif shape == "type_count":
+            rel = pushdown.step.pattern.elements[1]
+            count = (
+                sum(
+                    snapshot.etype_counts.get(snapshot.etype_code.get(t), 0)
+                    for t in set(rel.types)
+                )
+                if rel.types else snapshot.edge_count()
+            )
+            if rel.direction == "any":
+                count *= 2  # each edge matches once per endpoint
+        else:  # node_scan / hop_scan
+            step = pushdown.step
+            count = count_pattern(
+                self.graph, step.pattern, step.seed, pushdown.tests,
+                self.parameters,
+            )
+        obs.inc("cypher.count_pushdown", shape=shape)
+        return count
 
     def _run_union(
         self, query: UnionQuery, plan: "QueryPlan | None" = None
@@ -804,6 +875,46 @@ class Executor:
         return aggregate(call.name, values, call.distinct)
 
 
+def _unique_key_count(
+    snapshot: "ColumnarGraph", label: str, key: str
+) -> int | None:
+    """Distinct non-null ``key`` values held by exactly one live ``label``
+    node, read off the snapshot's value counts (``pair_counts``).
+
+    None when those counts could group differently from
+    :func:`_canonical`: a value the index skips (list, map, NaN), a
+    boolean beside numbers (``_canonical`` groups ``true`` with ``1``,
+    the index keeps them apart), or an int too large to be exact as a
+    float.  One pass over the label's column decides it.
+    """
+    lc = snapshot.label_code.get(label)
+    kc = snapshot.pkey_code.get(key)
+    if lc is None or kc is None:
+        return 0
+    column = snapshot.node_cols.get(kc, ())
+    width = len(column)
+    dead = snapshot.dead_nodes
+    has_bool = has_number = False
+    for nid in snapshot.label_members.get(lc, ()):
+        if nid >= width or nid in dead:
+            continue
+        value = column[nid]
+        if value is None:
+            continue
+        if property_index_key(value) is None:
+            return None
+        if isinstance(value, bool):
+            has_bool = True
+        elif isinstance(value, (int, float)):
+            if isinstance(value, int) and abs(value) > _FLOAT_EXACT_INT:
+                return None
+            has_number = True
+    if has_bool and has_number:
+        return None
+    counts = snapshot.pair_counts.get((lc, kc), {})
+    return sum(1 for occurrences in counts.values() if occurrences == 1)
+
+
 def _hashable_for_distinct(value: object) -> object:
     # aggregate() deduplicates with list membership, so unhashable values
     # are fine as-is; this hook exists for symmetry/future optimisation
@@ -843,9 +954,11 @@ def execute(
     with obs.span("cypher.execute") as sp:
         started = time.perf_counter()
         query = _parse_cached(query_text)
-        result = Executor(graph, parameters).run(query)
+        executor = Executor(graph, parameters)
+        result = executor.run(query)
         elapsed = time.perf_counter() - started
         sp.set_attribute("rows", len(result.rows))
+        sp.set_attribute("count_path", executor.count_path)
         obs.inc("cypher.queries")
         obs.inc("cypher.rows", len(result.rows))
         obs.observe("cypher.eval_seconds", elapsed)

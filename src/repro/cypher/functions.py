@@ -329,4 +329,10 @@ def call_scalar(name: str, args: Sequence[object]) -> object:
     func = SCALAR_FUNCTIONS.get(name.lower())
     if func is None:
         raise UnknownFunctionError(name)
-    return func(*args)
+    try:
+        return func(*args)
+    except (TypeError, ValueError, OverflowError) as error:
+        # wrong arity, math-domain and range errors (sqrt(1, 2),
+        # sqrt(-1), log(0), exp(1000), toInteger(NaN)) are query
+        # errors, not interpreter crashes
+        raise CypherTypeError(f"{name}(): {error}") from error

@@ -32,17 +32,23 @@ lookups, cheapest label) plus per-position predicate *checks* — WHERE
 conjuncts pushed down to the earliest DFS step where their variables are
 bound.  Pattern predicates (``WHERE (n)-[:R]->()``), MERGE and unplanned
 clauses run the same search with written-order patterns and no seed.
+
+:func:`count_pattern` serves the executor's count pushdown: the same
+seeds, label codes and column tests over a single node or hop, counted
+in dense ids without building a bindings dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.cypher.ast_nodes import (
     BinaryOp,
     Expression,
+    InList,
     IsNull,
+    ListLiteral,
     Literal,
     NodePattern,
     PathPattern,
@@ -61,8 +67,9 @@ from repro.graph.store import PropertyGraph, property_index_key
 #: relationship) is bound
 Checks = Mapping[int, Sequence[Expression]]
 
-#: a column prefilter: ("eq", key, literal) or ("null", key, negated)
-_ColumnTest = tuple[str, str, object]
+#: a column prefilter: ("eq", key, literal), ("in", key, literals) or
+#: ("null", key, negated)
+ColumnTest = tuple[str, str, object]
 
 #: prepared patterns kept per snapshot before the memo is reset
 _MEMO_LIMIT = 4096
@@ -212,9 +219,9 @@ def _checks_pass(
 # ----------------------------------------------------------------------
 # column prefilters
 # ----------------------------------------------------------------------
-def _column_test(
+def column_test(
     predicate: Expression, variable: str | None
-) -> _ColumnTest | None:
+) -> ColumnTest | None:
     """Compile one pushed conjunct into a column test, if it only reads
     ``variable``'s own properties against constants (such a test cannot
     raise and cannot see any other binding)."""
@@ -242,12 +249,23 @@ def _column_test(
                 and isinstance(literal, Literal)
             ):
                 return ("eq", prop.key, literal.value)
+        return None
+    if isinstance(predicate, InList):
+        prop, items = predicate.needle, predicate.haystack
+        if (
+            isinstance(prop, PropertyAccess)
+            and isinstance(prop.subject, Variable)
+            and prop.subject.name == variable
+            and isinstance(items, ListLiteral)
+            and all(isinstance(item, Literal) for item in items.items)
+        ):
+            return ("in", prop.key, tuple(item.value for item in items.items))
     return None
 
 
 def _column_prefix(
     predicates: Sequence[Expression] | None, variable: str | None
-) -> tuple[tuple[_ColumnTest, ...], tuple[Expression, ...]]:
+) -> tuple[tuple[ColumnTest, ...], tuple[Expression, ...]]:
     """Split pushed conjuncts into a *leading* run of column tests plus
     the order-preserved remainder.
 
@@ -257,29 +275,15 @@ def _column_prefix(
     """
     if not predicates:
         return (), ()
-    fast: list[_ColumnTest] = []
+    fast: list[ColumnTest] = []
     remainder = list(predicates)
     while remainder:
-        test = _column_test(remainder[0], variable)
+        test = column_test(remainder[0], variable)
         if test is None:
             break
         fast.append(test)
         remainder.pop(0)
     return tuple(fast), tuple(remainder)
-
-
-def _passes_columns(
-    snapshot: ColumnarGraph, nid: int, tests: tuple[_ColumnTest, ...]
-) -> bool:
-    for kind, key, payload in tests:
-        value = snapshot.node_prop(nid, key)
-        if kind == "eq":
-            if _equals(value, payload) is not True:
-                return False
-        else:  # "null": payload is the IS NOT NULL flag
-            if (value is None) == payload:
-                return False
-    return True
 
 
 def _prepare_pattern(
@@ -317,7 +321,11 @@ def _prepare_pattern(
             fast, rest = _column_prefix(
                 checks.get(index) if checks else None, element.variable
             )
-            meta[index] = (codes, fast, rest)
+            meta[index] = (
+                codes,
+                _row_filter(snapshot.node_cols, snapshot.pkey_code, fast),
+                rest,
+            )
     if len(memo) >= _MEMO_LIMIT:
         memo.clear()
     memo[key] = (pattern, checks, meta)
@@ -458,7 +466,7 @@ def _walk(
             bound = bindings[next_pattern.variable]
             if not isinstance(bound, Node) or bound.id != neighbour.id:
                 continue
-        if fast and not _passes_columns(snapshot, nbr, fast):
+        if fast is not None and not fast(nbr):
             continue
         new_bindings = dict(bindings)
         if rel.variable:
@@ -505,29 +513,10 @@ def _walk_var_length(
     next_pattern: NodePattern = elements[index + 1]  # type: ignore
     rel_tc = meta[index]
 
-    def hops(at: int, depth: int, eids: list[int]) -> Iterator[
-        tuple[list[int], int]
-    ]:
-        if depth >= rel.min_hops:
-            yield eids, at
-        if depth >= rel.max_hops:
-            return
-        for eid, nbr in _adjacent(snapshot, at, rel, rel_tc, stats):
-            if stats is not None:
-                stats.expansions += 1
-            if eid in used:
-                continue
-            if not _edge_satisfies(
-                graph, snapshot.edge_objs[eid], rel, bindings, parameters
-            ):
-                continue
-            used.add(eid)
-            try:
-                yield from hops(nbr, depth + 1, eids + [eid])
-            finally:
-                used.discard(eid)
-
-    for eids, end in hops(nid, 0, []):
+    for eids, end in _hops(
+        graph, snapshot, rel, rel_tc, nid, 0, [],
+        bindings, used, parameters, stats,
+    ):
         endpoint = snapshot.node_objs[end] if eids else trail[-1]
         if not _node_satisfies(
             graph, endpoint, next_pattern, bindings, parameters
@@ -558,6 +547,46 @@ def _walk_var_length(
             new_bindings, used, trail + edges + [endpoint],
             checks, meta, parameters, stats,
         )
+
+
+def _hops(
+    graph: PropertyGraph,
+    snapshot: ColumnarGraph,
+    rel: RelPattern,
+    rel_tc: int | None,
+    at: int,
+    depth: int,
+    eids: list[int],
+    bindings: dict[str, object],
+    used: set[int],
+    parameters: Mapping[str, object] | None,
+    stats: MatchStats | None,
+) -> Iterator[tuple[list[int], int]]:
+    """(edge ids, endpoint) of every ``*m..n`` expansion from ``at``,
+    pre-order.  Module level rather than a closure: a self-recursive
+    closure is a reference cycle that would keep ``snapshot`` alive
+    until the cyclic collector runs."""
+    if depth >= rel.min_hops:
+        yield eids, at
+    if depth >= rel.max_hops:
+        return
+    for eid, nbr in _adjacent(snapshot, at, rel, rel_tc, stats):
+        if stats is not None:
+            stats.expansions += 1
+        if eid in used:
+            continue
+        if not _edge_satisfies(
+            graph, snapshot.edge_objs[eid], rel, bindings, parameters
+        ):
+            continue
+        used.add(eid)
+        try:
+            yield from _hops(
+                graph, snapshot, rel, rel_tc, nbr, depth + 1, eids + [eid],
+                bindings, used, parameters, stats,
+            )
+        finally:
+            used.discard(eid)
 
 
 def _match_path(
@@ -625,7 +654,7 @@ def _match_path(
             graph, start, first.properties, bindings, parameters
         ):
             continue
-        if fast and not _passes_columns(snapshot, nid, fast):
+        if fast is not None and not fast(nid):
             continue
         start_bindings = dict(bindings)
         if first.variable:
@@ -668,21 +697,35 @@ def match_patterns(
          _prepare_pattern(snapshot, pattern, checks))
         for pattern, seed, checks in steps
     ]
+    yield from _match_steps(
+        graph, snapshot, prepared, 0, bindings, used, parameters, stats
+    )
 
-    def recurse(
-        index: int, current_bindings: dict[str, object]
-    ) -> Iterator[dict[str, object]]:
-        if index >= len(prepared):
-            yield current_bindings
-            return
-        pattern, seed, checks, meta = prepared[index]
-        for new_bindings in _match_path(
-            graph, snapshot, pattern, current_bindings, used,
-            seed, checks, meta, parameters, stats,
-        ):
-            yield from recurse(index + 1, new_bindings)
 
-    yield from recurse(0, bindings)
+def _match_steps(
+    graph: PropertyGraph,
+    snapshot: ColumnarGraph,
+    prepared: Sequence[tuple],
+    index: int,
+    bindings: dict[str, object],
+    used: set[int],
+    parameters: Mapping[str, object] | None,
+    stats: MatchStats | None,
+) -> Iterator[dict[str, object]]:
+    """Extensions of ``bindings`` matching ``prepared[index:]`` in order
+    (module level for the same no-cycle reason as :func:`_hops`)."""
+    if index >= len(prepared):
+        yield bindings
+        return
+    pattern, seed, checks, meta = prepared[index]
+    for new_bindings in _match_path(
+        graph, snapshot, pattern, bindings, used,
+        seed, checks, meta, parameters, stats,
+    ):
+        yield from _match_steps(
+            graph, snapshot, prepared, index + 1, new_bindings,
+            used, parameters, stats,
+        )
 
 
 def pattern_exists(
@@ -700,3 +743,113 @@ def pattern_exists(
     ):
         return True
     return False
+
+
+def count_pattern(
+    graph: PropertyGraph,
+    pattern: PathPattern,
+    seed: SeedSpec | None,
+    tests: Sequence[tuple[ColumnTest, ...]],
+    parameters: Mapping[str, object] | None = None,
+) -> int:
+    """Number of matches of a single node or single fixed-length hop
+    pattern, counted in dense ids without materializing any binding.
+
+    ``tests[i]`` holds element ``i``'s column tests (its inline property
+    map and its WHERE conjuncts, all of the ``column_test`` shape), so
+    this is exactly the row count :func:`match_patterns` would yield for
+    a pattern whose variables are all distinct and unbound: the seed,
+    label codes and columns decide every candidate.  A hop scans the
+    live edges of its types once and tests both ends (no adjacency call
+    per start node); an undirected hop counts each edge once per end, a
+    self-loop twice, as the DFS does.
+    """
+    snapshot = graph.columnar()
+    elements = pattern.elements
+    first = elements[0]
+    start_codes = tuple(
+        snapshot.label_code.get(label, -1) for label in first.labels
+    )
+    start_ok = _row_filter(snapshot.node_cols, snapshot.pkey_code, tests[0])
+    starts = [
+        nid
+        for nid in _seed_nids(graph, snapshot, first, seed, {}, parameters)
+        if (not start_codes or snapshot.has_labels(nid, start_codes))
+        and (start_ok is None or start_ok(nid))
+    ]
+    if len(elements) == 1:
+        return len(starts)
+
+    rel: RelPattern = elements[1]              # type: ignore[assignment]
+    end: NodePattern = elements[2]             # type: ignore[assignment]
+    wanted = (
+        {snapshot.etype_code[t] for t in rel.types if t in snapshot.etype_code}
+        if rel.types else None
+    )
+    # the end of a live edge is a live node, so label members suffice
+    ends = None
+    for label in end.labels:
+        members = set(
+            snapshot.label_members.get(snapshot.label_code.get(label), ())
+        )
+        ends = members if ends is None else ends & members
+    rel_ok = _row_filter(snapshot.edge_cols, snapshot.pkey_code, tests[1])
+    end_ok = _row_filter(snapshot.node_cols, snapshot.pkey_code, tests[2])
+    orientations = {
+        "out": ((snapshot.edge_src, snapshot.edge_dst),),
+        "in": ((snapshot.edge_dst, snapshot.edge_src),),
+        "any": ((snapshot.edge_src, snapshot.edge_dst),
+                (snapshot.edge_dst, snapshot.edge_src)),
+    }[rel.direction]
+
+    def holds(eid: int, nbr: int) -> bool:
+        return (
+            (ends is None or nbr in ends)
+            and (rel_ok is None or rel_ok(eid))
+            and (end_ok is None or end_ok(nbr))
+        )
+
+    dead = snapshot.dead_edges
+    eids = [
+        eid for eid, code in enumerate(snapshot.edge_types)
+        if (wanted is None or code in wanted) and eid not in dead
+    ]
+    start_set = set(starts)
+    return sum(
+        sum(1 for eid in eids if near[eid] in start_set and holds(eid, far[eid]))
+        for near, far in orientations
+    )
+
+
+def _row_filter(
+    cols: Mapping[int, list],
+    pkey_code: Mapping[str, int],
+    tests: tuple[ColumnTest, ...],
+) -> Callable[[int], bool] | None:
+    """A predicate over row ids of one snapshot store (``node_cols`` or
+    ``edge_cols``): all ``tests`` hold, each exactly as its WHERE
+    conjunct would evaluate to true.  Columns are looked up once, here;
+    None when there is nothing to test."""
+    if not tests:
+        return None
+    resolved = [
+        (kind, cols.get(pkey_code.get(key, -1), ()), payload)
+        for kind, key, payload in tests
+    ]
+
+    def passes(row: int) -> bool:
+        for kind, col, payload in resolved:
+            value = col[row] if row < len(col) else None
+            if kind == "eq":
+                if _equals(value, payload) is not True:
+                    return False
+            elif kind == "in":
+                # ``x IN [...]`` is true iff some item equals x (a null x
+                # or a null item never makes it true)
+                if not any(_equals(value, item) is True for item in payload):
+                    return False
+            elif (value is None) == payload:  # "null": payload = negated
+                return False
+        return True
+
+    return passes

@@ -21,6 +21,10 @@ count queries per mined rule, repeated across the experiment grid):
   residual evaluation, a planned query may *suppress* a runtime error
   the unplanned executor would have raised on a row that a pushed
   predicate already rejected — standard cost-based-planner semantics;
+* **count pushdown** — a ``RETURN count(*)`` over one node or one hop
+  whose every predicate is a column test, and the translator's
+  uniqueness shape, are marked on the plan so the executor answers
+  them from the CSR snapshot's counters without building a row;
 * **plan caching** keyed on ``(canonical signature, graph
   fingerprint)``; the graph's mutation epoch invalidates plans on write.
 
@@ -42,6 +46,7 @@ from repro.cypher.ast_nodes import (
     BinaryOp,
     CreateClause,
     Expression,
+    FunctionCall,
     InList,
     IsNull,
     LabelPredicate,
@@ -55,6 +60,7 @@ from repro.cypher.ast_nodes import (
     PropertyAccess,
     Query,
     RelPattern,
+    ReturnClause,
     SingleQuery,
     StringPredicate,
     UnaryOp,
@@ -63,12 +69,13 @@ from repro.cypher.ast_nodes import (
     Variable,
     WithClause,
 )
-from repro.cypher.matcher import SeedSpec
+from repro.cypher.matcher import ColumnTest, SeedSpec, column_test
 from repro.graph.statistics import GraphCatalog
 from repro.graph.store import PropertyGraph
 
 __all__ = [
     "ClausePlan",
+    "CountPushdown",
     "PlanCache",
     "PlannedPattern",
     "QueryPlan",
@@ -110,6 +117,25 @@ class ClausePlan:
 
 
 @dataclass
+class CountPushdown:
+    """A count query the executor answers from the CSR snapshot.
+
+    ``shape`` names the access path: ``label_size`` and ``type_count``
+    read the per-label / per-type counters; ``node_scan`` and
+    ``hop_scan`` count the planned ``step`` in dense ids, ``tests[i]``
+    being element ``i``'s column tests; ``unique_key`` counts the
+    ``(label, key)`` values held by exactly one node.
+    """
+
+    shape: str
+    column: str
+    step: Optional[PlannedPattern] = None
+    tests: tuple[tuple[ColumnTest, ...], ...] = ()
+    label: Optional[str] = None
+    key: Optional[str] = None
+
+
+@dataclass
 class QueryPlan:
     """Plans for every MATCH clause of a query, positionally keyed."""
 
@@ -118,6 +144,7 @@ class QueryPlan:
     clause_plans: dict[tuple[int, int], ClausePlan] = field(
         default_factory=dict
     )
+    count: Optional[CountPushdown] = None
 
     def clause_plan(
         self, branch: int, clause_index: int
@@ -620,6 +647,155 @@ def _plan_branch(
 
 
 # ----------------------------------------------------------------------
+# count pushdown
+# ----------------------------------------------------------------------
+def _plain_projection(clause: "WithClause | ReturnClause") -> bool:
+    return not (
+        clause.distinct or clause.star or clause.order_by
+        or clause.skip is not None or clause.limit is not None
+    )
+
+
+def _is_count_star(expr: Expression) -> bool:
+    return (
+        isinstance(expr, FunctionCall) and expr.name == "count"
+        and expr.star and not expr.distinct
+    )
+
+
+def _returns_count_star(clause: object) -> bool:
+    """``RETURN count(*)`` alone: no DISTINCT, ORDER BY, SKIP or LIMIT."""
+    return (
+        isinstance(clause, ReturnClause)
+        and _plain_projection(clause)
+        and len(clause.items) == 1
+        and _is_count_star(clause.items[0].expression)
+    )
+
+
+def _pattern_pushdown(
+    match: MatchClause, clause_plan: ClausePlan, column: str
+) -> Optional[CountPushdown]:
+    """One node or one fixed-length hop, distinct variables, and every
+    predicate (inline map or WHERE conjunct) a column test."""
+    if match.optional or len(match.patterns) != 1:
+        return None
+    if clause_plan.prefilter or clause_plan.residual is not None:
+        return None
+    step = clause_plan.steps[0]
+    elements = step.pattern.elements
+    if step.pattern.variable is not None or len(elements) not in (1, 3):
+        return None
+    if len(elements) == 3 and elements[1].is_variable_length:
+        return None
+    names = [element.variable for element in elements if element.variable]
+    if len(names) != len(set(names)):
+        return None
+    tests: list[list[ColumnTest]] = []
+    for element in elements:
+        if not all(isinstance(v, Literal) for _k, v in element.properties):
+            return None
+        tests.append([
+            ("eq", key, value.value) for key, value in element.properties
+        ])
+    positions = {
+        element.variable: index
+        for index, element in enumerate(elements) if element.variable
+    }
+    for predicates in step.checks.values():
+        for predicate in predicates:
+            for name, index in positions.items():
+                test = column_test(predicate, name)
+                if test is not None:
+                    tests[index].append(test)
+                    break
+            else:
+                return None
+    if len(elements) == 1:
+        simple = len(elements[0].labels) <= 1 and not tests[0]
+        shape = "label_size" if simple else "node_scan"
+    else:
+        simple = (
+            not any(tests)
+            and not elements[0].labels and not elements[2].labels
+        )
+        shape = "type_count" if simple else "hop_scan"
+    return CountPushdown(
+        shape=shape, column=column, step=step,
+        tests=tuple(tuple(t) for t in tests),
+    )
+
+
+def _unique_key_pushdown(
+    match: MatchClause, grouped: WithClause, column: str
+) -> Optional[CountPushdown]:
+    """``MATCH (n:L) WHERE n.k IS NOT NULL WITH n.k AS v, count(*) AS c
+    WHERE c = 1 RETURN count(*)`` (the translator's uniqueness check)."""
+    if match.optional or len(match.patterns) != 1:
+        return None
+    pattern = match.patterns[0]
+    if pattern.variable is not None or len(pattern.elements) != 1:
+        return None
+    node = pattern.elements[0]
+    if node.variable is None or len(node.labels) != 1 or node.properties:
+        return None
+    where = match.where
+    operand = getattr(where, "operand", None)
+    if not (
+        isinstance(where, IsNull) and where.negated
+        and isinstance(operand, PropertyAccess)
+        and operand.subject == Variable(node.variable)
+    ):
+        return None
+    key = operand.key
+    if not _plain_projection(grouped) or len(grouped.items) != 2:
+        return None
+    value_item, count_item = grouped.items
+    if not (
+        value_item.expression == PropertyAccess(Variable(node.variable), key)
+        and _is_count_star(count_item.expression)
+        and value_item.column_name != count_item.column_name
+    ):
+        return None
+    condition = grouped.where
+    if not (isinstance(condition, BinaryOp) and condition.op == "="):
+        return None
+    counted, one = condition.left, condition.right
+    if isinstance(counted, Literal):
+        counted, one = one, counted
+    if not (
+        counted == Variable(count_item.column_name)
+        and isinstance(one, Literal)
+        and type(one.value) is int and one.value == 1
+    ):
+        return None
+    return CountPushdown(
+        shape="unique_key", column=column, label=node.labels[0], key=key,
+    )
+
+
+def _count_pushdown(
+    query: Query, clause_plans: Mapping[tuple[int, int], ClausePlan]
+) -> Optional[CountPushdown]:
+    """The pushdown for ``query`` when its shape is eligible, else None."""
+    if not isinstance(query, SingleQuery):
+        return None
+    clauses = query.clauses
+    if not (
+        len(clauses) in (2, 3)
+        and isinstance(clauses[0], MatchClause)
+        and _returns_count_star(clauses[-1])
+    ):
+        return None
+    column = clauses[-1].items[0].column_name
+    if len(clauses) == 2:
+        return _pattern_pushdown(clauses[0], clause_plans[(0, 0)], column)
+    if not isinstance(clauses[1], WithClause):
+        return None
+    return _unique_key_pushdown(clauses[0], clauses[1], column)
+
+
+# ----------------------------------------------------------------------
 # signatures and the plan cache
 # ----------------------------------------------------------------------
 _SIGNATURE_LOCK = threading.Lock()
@@ -736,6 +912,7 @@ class QueryPlanner:
             signature=signature,
             fingerprint=fingerprint,
             clause_plans=clause_plans,
+            count=_count_pushdown(query, clause_plans),
         )
         obs.inc("planner.plans")
         if self.cache is not None and cacheable:
@@ -838,6 +1015,8 @@ def explain(
                     "|  residual filter: "
                     f"{render_expression(clause_plan.residual)}"
                 )
+    if plan.count is not None:
+        lines.append(f"+- count: pushdown ({plan.count.shape})")
     if len(lines) == 1:
         lines.append("+- no MATCH clauses (nothing to plan)")
     return "\n".join(lines)

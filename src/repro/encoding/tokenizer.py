@@ -10,6 +10,7 @@ enough for window-size arithmetic.
 from __future__ import annotations
 
 import re
+from array import array
 from typing import Iterable
 
 #: Maximum characters per token piece (BPE pieces average ~4-6 chars).
@@ -32,28 +33,39 @@ def split_tokens(text: str) -> list[str]:
     return tokens
 
 
-def token_spans(text: str) -> list[tuple[int, int]]:
-    """Character spans ``(start, end)`` of each pseudo-token in ``text``.
+def token_bounds(text: str) -> tuple[array, array]:
+    """Start and end character offsets of each pseudo-token in ``text``,
+    as two parallel int arrays.
 
     Used by the window chunker to cut windows at token boundaries while
-    preserving the original text verbatim (including mid-statement cuts).
+    preserving the original text verbatim (including mid-statement
+    cuts).  The chunker holds one entry per token of a whole encoding,
+    so the offsets are kept at 16 bytes a token rather than as a list
+    of tuples (~120 bytes a token).
     """
-    spans: list[tuple[int, int]] = []
+    starts = array("q")
+    ends = array("q")
     for match in _WORD_RE.finditer(text):
         start, end = match.span()
-        length = end - start
-        if length <= PIECE_SIZE:
-            spans.append((start, end))
-        else:
-            for offset in range(0, length, PIECE_SIZE):
-                piece_start = start + offset
-                spans.append((piece_start, min(piece_start + PIECE_SIZE, end)))
-    return spans
+        for piece_start in range(start, end, PIECE_SIZE):
+            starts.append(piece_start)
+            ends.append(min(piece_start + PIECE_SIZE, end))
+    return starts, ends
+
+
+def token_spans(text: str) -> list[tuple[int, int]]:
+    """Character spans ``(start, end)`` of each pseudo-token in ``text``."""
+    return list(zip(*token_bounds(text)))
 
 
 def count_tokens(text: str) -> int:
-    """Number of pseudo-tokens in ``text``."""
-    return len(split_tokens(text))
+    """Number of pseudo-tokens in ``text`` (``len(split_tokens(text))``,
+    without building the pieces: a word contributes ``ceil(len /
+    PIECE_SIZE)``)."""
+    return sum(
+        (len(word) + PIECE_SIZE - 1) // PIECE_SIZE
+        for word in _WORD_RE.findall(text)
+    )
 
 
 def count_tokens_many(texts: Iterable[str]) -> int:

@@ -13,10 +13,11 @@ three datasets).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro.encoding.incident import Statement
-from repro.encoding.tokenizer import token_spans
+from repro.encoding.tokenizer import token_bounds
 
 #: The paper's operating point (tokens).
 DEFAULT_WINDOW_SIZE = 8000
@@ -25,19 +26,20 @@ DEFAULT_OVERLAP = 500
 
 def statement_token_ranges(
     statements: list["Statement"],
-    spans: list[tuple[int, int]] | None = None,
+    bounds: tuple[array, array] | None = None,
 ) -> list[tuple[int, int]]:
     """Map each statement to its [first, last] token index range.
 
-    ``spans`` are the token character spans of the newline-joined text;
-    recomputed when not supplied.  Shared by the chunker's fragmentation
-    accounting and the dirty-window invalidation in
-    :mod:`repro.encoding.dirty`.
+    ``bounds`` are the token start/end offsets of the newline-joined
+    text (:func:`~repro.encoding.tokenizer.token_bounds`); recomputed
+    when not supplied.  Shared by the chunker's fragmentation accounting
+    and the dirty-window invalidation in :mod:`repro.encoding.dirty`.
     """
-    if spans is None:
+    if bounds is None:
         text = "\n".join(statement.text for statement in statements)
-        spans = token_spans(text)
-    total = len(spans)
+        bounds = token_bounds(text)
+    starts, ends = bounds
+    total = len(starts)
     ranges: list[tuple[int, int]] = []
     cursor = 0
     offset = 0
@@ -46,8 +48,8 @@ def statement_token_ranges(
         end_char = offset + len(statement.text)
         first = None
         last = None
-        while cursor < total and spans[cursor][0] < end_char:
-            if spans[cursor][1] > start_char:
+        while cursor < total and starts[cursor] < end_char:
+            if ends[cursor] > start_char:
                 if first is None:
                     first = cursor
                 last = cursor
@@ -131,11 +133,11 @@ class SlidingWindowChunker:
     def chunk_statements(self, statements: list[Statement]) -> WindowSet:
         """Chunk a statement list, tracking which statements get broken."""
         text = "\n".join(statement.text for statement in statements)
-        spans = token_spans(text)
-        total = len(spans)
-        ranges = statement_token_ranges(statements, spans)
+        bounds = token_bounds(text)
+        total = len(bounds[0])
+        ranges = statement_token_ranges(statements, bounds)
 
-        windows = self._build_windows(text, spans)
+        windows = self._build_windows(text, bounds)
         broken = self._find_broken(statements, ranges, windows, total)
         broken_blocks = self._find_broken_blocks(statements, ranges, windows)
         return WindowSet(
@@ -149,20 +151,21 @@ class SlidingWindowChunker:
 
     def chunk_text(self, text: str) -> WindowSet:
         """Chunk raw text (no statement accounting)."""
-        spans = token_spans(text)
-        windows = self._build_windows(text, spans)
+        bounds = token_bounds(text)
+        windows = self._build_windows(text, bounds)
         return WindowSet(
             windows=windows,
-            total_tokens=len(spans),
+            total_tokens=len(bounds[0]),
             window_size=self.window_size,
             overlap=self.overlap,
         )
 
     # ------------------------------------------------------------------
     def _build_windows(
-        self, text: str, spans: list[tuple[int, int]]
+        self, text: str, bounds: tuple[array, array]
     ) -> list[Window]:
-        total = len(spans)
+        starts, ends = bounds
+        total = len(starts)
         if total == 0:
             return []
         windows: list[Window] = []
@@ -170,8 +173,8 @@ class SlidingWindowChunker:
         index = 0
         while True:
             end = min(start + self.window_size, total)
-            char_start = spans[start][0]
-            char_end = spans[end - 1][1]
+            char_start = starts[start]
+            char_end = ends[end - 1]
             windows.append(
                 Window(
                     index=index,

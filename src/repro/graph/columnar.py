@@ -365,10 +365,9 @@ class ColumnarGraph:
         }
         snap.label_sizes = dict(self.label_sizes)
         snap.node_cols = {code: list(col) for code, col in self.node_cols.items()}
+        # per-pair entries are shared until written (see _own_pair)
         snap.sorted_index = dict(self.sorted_index)
-        snap.pair_counts = {
-            pair: Counter(counts) for pair, counts in self.pair_counts.items()
-        }
+        snap.pair_counts = dict(self.pair_counts)
         snap.edge_ids = list(self.edge_ids)
         snap.edge_index = dict(self.edge_index)
         snap.edge_objs = list(self.edge_objs)
@@ -406,6 +405,7 @@ class ColumnarGraph:
         which case the caller recompiles from scratch.
         """
         snap = self._clone()
+        #: (label, key) pairs written by these deltas (see _own_pair)
         dirty_pairs: set[tuple[int, int]] = set()
         compacted = compact_deltas(list(deltas))
         for delta in compacted:
@@ -422,7 +422,10 @@ class ColumnarGraph:
                 snap._overlay_edge_removed(delta)
             else:  # EDGE_PROPS
                 snap._overlay_edge_props(graph, delta)
-        snap._rebuild_sorted_indexes(dirty_pairs)
+        for pair in dirty_pairs:
+            if not snap.pair_counts.get(pair):
+                snap.pair_counts.pop(pair, None)
+                snap.sorted_index.pop(pair, None)
         snap.overlay_ops += len(compacted)
         snap.origin = "incremental"
         snap.revision += 1
@@ -458,9 +461,7 @@ class ColumnarGraph:
             if index_key is None:
                 continue
             for lc in lcodes:
-                pair = (lc, kc)
-                self.pair_counts.setdefault(pair, Counter())[index_key] += 1
-                dirty_pairs.add(pair)
+                self._index_insert((lc, kc), index_key, nid, dirty_pairs)
 
     def _overlay_node_removed(
         self, delta: "GraphDelta", dirty_pairs: set[tuple[int, int]]
@@ -476,9 +477,7 @@ class ColumnarGraph:
             if index_key is None:
                 continue
             for lc in lcodes:
-                pair = (lc, kc)
-                self._uncount(pair, index_key)
-                dirty_pairs.add(pair)
+                self._index_remove((lc, kc), index_key, nid, dirty_pairs)
 
     def _overlay_node_props(
         self, graph: "PropertyGraph", delta: "GraphDelta",
@@ -501,18 +500,52 @@ class ColumnarGraph:
             for lc in lcodes:
                 pair = (lc, kc)
                 if old_key is not None:
-                    self._uncount(pair, old_key)
+                    self._index_remove(pair, old_key, nid, dirty_pairs)
                 if new_key is not None:
-                    self.pair_counts.setdefault(pair, Counter())[new_key] += 1
-                dirty_pairs.add(pair)
+                    self._index_insert(pair, new_key, nid, dirty_pairs)
 
-    def _uncount(self, pair: tuple[int, int], index_key: object) -> None:
-        counts = self.pair_counts.get(pair)
-        if counts is None:
-            return
+    def _own_pair(
+        self, pair: tuple[int, int], dirty_pairs: set[tuple[int, int]]
+    ) -> tuple[Counter, list, list[int]]:
+        """``pair``'s value counts and sorted index (keys, node ids),
+        copied on this snapshot's first write to the pair; until then
+        they are shared with the snapshot it was cloned from."""
+        if pair not in dirty_pairs:
+            dirty_pairs.add(pair)
+            keys, nids = self.sorted_index.get(pair, ((), ()))
+            self.sorted_index[pair] = (list(keys), list(nids))
+            self.pair_counts[pair] = Counter(self.pair_counts.get(pair, ()))
+        keys, nids = self.sorted_index[pair]
+        return self.pair_counts[pair], keys, nids
+
+    def _index_insert(
+        self, pair: tuple[int, int], index_key: object, nid: int,
+        dirty_pairs: set[tuple[int, int]],
+    ) -> None:
+        """Count ``nid``'s value and insert ``(index_key, nid)`` where a
+        full sort of the pair's entries would place it."""
+        counts, keys, nids = self._own_pair(pair, dirty_pairs)
+        counts[index_key] += 1
+        lo = bisect_left(keys, index_key)
+        at = bisect_left(nids, nid, lo, bisect_right(keys, index_key, lo))
+        keys.insert(at, index_key)
+        nids.insert(at, nid)
+
+    def _index_remove(
+        self, pair: tuple[int, int], index_key: object, nid: int,
+        dirty_pairs: set[tuple[int, int]],
+    ) -> None:
+        counts, keys, nids = self._own_pair(pair, dirty_pairs)
         counts[index_key] -= 1
         if counts[index_key] <= 0:
             del counts[index_key]
+        lo = bisect_left(keys, index_key)
+        hi = bisect_right(keys, index_key, lo)
+        at = bisect_left(nids, nid, lo, hi)
+        if at == hi or nids[at] != nid:
+            raise GraphError(f"node {nid} missing from index pair {pair}")
+        del keys[at]
+        del nids[at]
 
     def _overlay_edge_added(
         self, graph: "PropertyGraph", delta: "GraphDelta"
@@ -568,33 +601,6 @@ class ColumnarGraph:
             self._col_set(
                 self.edge_cols, self._intern_pkey(key), eid,
                 edge.properties.get(key),
-            )
-
-    def _rebuild_sorted_indexes(
-        self, dirty_pairs: set[tuple[int, int]]
-    ) -> None:
-        for pair in dirty_pairs:
-            counts = self.pair_counts.get(pair)
-            if not counts:
-                self.pair_counts.pop(pair, None)
-                self.sorted_index.pop(pair, None)
-                continue
-            lc, kc = pair
-            col = self.node_cols.get(kc, ())
-            width = len(col)
-            dead = self.dead_nodes
-            entries = []
-            for nid in self.label_members.get(lc, ()):
-                if nid in dead:
-                    continue
-                value = col[nid] if nid < width else None
-                index_key = property_index_key(value)
-                if index_key is not None:
-                    entries.append((index_key, nid))
-            entries.sort()
-            self.sorted_index[pair] = (
-                [entry[0] for entry in entries],
-                [entry[1] for entry in entries],
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.cypher import CypherSemanticError, execute
 from repro.graph import PropertyGraph
 
@@ -272,3 +273,23 @@ class TestPaperQueries:
             "RETURN p.name AS player, m.id AS match, minute",
         )
         assert result.rows == [{"player": "Ada", "match": 1, "minute": 12}]
+
+
+class TestCountPath:
+    def test_execute_span_records_count_path(self, sports_graph):
+        collector = obs.install()
+        try:
+            count = execute(
+                sports_graph, "MATCH (n:Person) RETURN count(*) AS c"
+            )
+            rows = execute(sports_graph, "MATCH (n:Person) RETURN n.id AS id")
+        finally:
+            obs.uninstall()
+        assert (count.scalar(), len(rows)) == (2, 2)
+        paths = [
+            span.attributes["count_path"]
+            for span in collector.iter_spans() if span.name == "cypher.execute"
+        ]
+        assert paths == ["pushdown", "match"]
+        pushdowns = collector.metrics.counter("cypher.count_pushdown")
+        assert pushdowns.value(shape="label_size") == 1

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from repro.cypher import UnknownFunctionError
+from repro.cypher import CypherTypeError, UnknownFunctionError, execute
 from repro.cypher.functions import aggregate, call_scalar, is_aggregate
-from repro.graph import Edge, Node
+from repro.graph import Edge, Node, PropertyGraph
 
 
 class TestConversions:
@@ -93,6 +93,28 @@ class TestMath:
         assert call_scalar("sqrt", [9]) == 3.0
         assert math.isclose(call_scalar("log", [math.e]), 1.0)
         assert call_scalar("log10", [100]) == 2.0
+
+
+    @pytest.mark.parametrize("name,args", [
+        ("sqrt", [-1]), ("log", [0]), ("log", [-2.5]), ("log10", [0]),
+        ("exp", [1000]), ("toInteger", [float("nan")]),
+        ("toInteger", [float("inf")]), ("sqrt", [1, 2]),
+    ])
+    def test_domain_range_and_arity_errors_are_typed(self, name, args):
+        with pytest.raises(CypherTypeError):
+            call_scalar(name, args)
+
+    @pytest.mark.parametrize("query", [
+        "RETURN 10^400 AS c", "RETURN 0^-1 AS c", "RETURN (-8)^0.5 AS c",
+        "RETURN 1.5^10000 AS c",
+    ])
+    def test_power_errors_are_typed(self, query):
+        with pytest.raises(CypherTypeError):
+            execute(PropertyGraph(), query)
+
+    def test_power_values(self):
+        assert execute(PropertyGraph(), "RETURN 2^10 AS c").scalar() == 1024.0
+        assert execute(PropertyGraph(), "RETURN 4^0.5 AS c").scalar() == 2.0
 
 
 class TestGraphFunctions:

@@ -11,7 +11,9 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cypher import CypherError, execute
+from repro.cypher import CypherError, execute, parse
+from repro.cypher.executor import Executor
+from repro.cypher.planner import default_planner
 from repro.graph import PropertyGraph
 
 LABELS = ("A", "B")
@@ -179,7 +181,8 @@ class Model:
     """A graph and its straight-Python mirror, mutated together.
 
     ``nodes`` maps id -> (label, properties); ``edges`` maps id ->
-    (src, rel, dst, properties).  Every node carries a unique ``k``.
+    (src, rel, dst, properties).  In ``rich_models`` every node carries
+    a unique ``k``; ``count_models`` store a tuple of labels instead.
     """
 
     def __init__(self):
@@ -443,3 +446,275 @@ def test_create_then_merge_matches_oracle(model):
     assert merged.values() == [True] * starts
     assert graph.node_count("M") == graph.edge_count("T") == starts
     assert graph.node_count("M2") == graph.edge_count("U") == starts
+
+
+# ----------------------------------------------------------------------
+# count pushdown: snapshot counters vs. the general path vs. an oracle
+# ----------------------------------------------------------------------
+#: ``s`` holds strings and numbers only (2 and 2.0 are one value), so
+#: the uniqueness shape is answered from the value counts; ``m`` mixes
+#: in booleans and lists, which send it back to the general path
+_S_VALUES = (None, "å", "日本", "", "🎈", 2, 2.0, 3)
+_M_VALUES = (None, "å", 1, 1.0, True, False, 0, 2, 2.0, [1, 2])
+_W_VALUES = (None, 1, 1.0, True, "å")
+_LABEL_SETS = ((), ("A",), ("B",), ("A", "B"))
+
+
+@st.composite
+def count_models(draw):
+    """Multi-label and unlabeled nodes, self-loops, stored nulls."""
+    model = Model()
+    node_count = draw(st.integers(min_value=1, max_value=8))
+    for index in range(node_count):
+        properties = {}
+        for key, pool in (("s", _S_VALUES), ("m", _M_VALUES)):
+            if draw(st.booleans()):
+                properties[key] = draw(st.sampled_from(pool))
+        model.add_node(
+            f"n{index}", draw(st.sampled_from(_LABEL_SETS)), properties
+        )
+    for number in range(draw(st.integers(0, 2 * node_count))):
+        src = draw(st.integers(0, node_count - 1))
+        dst = src if draw(st.integers(0, 2)) == 0 else draw(
+            st.integers(0, node_count - 1)
+        )
+        properties = {"w": draw(st.sampled_from(_W_VALUES))} if draw(
+            st.booleans()
+        ) else {}
+        model.add_edge(
+            f"e{number}", draw(st.sampled_from(RELS)),
+            f"n{src}", f"n{dst}", properties,
+        )
+    return model
+
+
+def cy_eq(value, literal):
+    """Cypher ``=`` on stored scalars/lists vs. a scalar literal: null
+    is unknown, booleans never equal numbers, 2 equals 2.0."""
+    if value is None:
+        return False
+    if isinstance(value, bool) or isinstance(literal, bool):
+        return type(value) is type(literal) and value == literal
+    if isinstance(value, (int, float)) and isinstance(literal, (int, float)):
+        return float(value) == float(literal)
+    return type(value) is type(literal) and value == literal
+
+
+def cy_in(value, literals):
+    """Cypher ``value IN [literals]`` is true: some item equals it."""
+    return any(cy_eq(value, literal) for literal in literals)
+
+
+def labelled(model, node_id, *labels):
+    return set(labels) <= set(model.nodes[node_id][0])
+
+
+def node_prop(model, node_id, key):
+    return model.nodes[node_id][1].get(key)
+
+
+def count_nodes(model, keep):
+    return sum(1 for n in model.nodes if keep(n))
+
+
+def count_hops(model, rels, direction, keep):
+    """Matches of one hop: ``keep(edge props, start, end)`` per binding;
+    an undirected hop binds each edge once per endpoint (loops twice)."""
+    total = 0
+    for src, rel, dst, props in model.edges.values():
+        if rels and rel not in rels:
+            continue
+        ends = {"out": [(src, dst)], "in": [(dst, src)],
+                "any": [(src, dst), (dst, src)]}[direction]
+        total += sum(1 for a, b in ends if keep(props, a, b))
+    return total
+
+
+def unique_values(model, label, key):
+    """Groups of size one, grouped the way the engine's ``_canonical``
+    groups (Python equality: 2 == 2.0 and true == 1; lists by items)."""
+    groups = Counter(
+        tuple(v) if isinstance(v, list) else v
+        for v in (node_prop(model, n, key) for n in model.nodes
+                  if labelled(model, n, label))
+        if v is not None
+    )
+    return sum(1 for size in groups.values() if size == 1)
+
+
+def _unique(label, key):
+    return (
+        f"MATCH (n:{label}) WHERE n.{key} IS NOT NULL "
+        f"WITH n.{key} AS value, count(*) AS occurrences "
+        "WHERE occurrences = 1 RETURN count(*) AS c"
+    )
+
+
+# each entry: (query, planned shape or None for an ineligible query,
+# oracle(model) -> count)
+COUNT_BATTERY = (
+    ("MATCH (n) RETURN count(*) AS c", "label_size",
+     lambda m: len(m.nodes)),
+    ("MATCH (n:A) RETURN count(*) AS c", "label_size",
+     lambda m: count_nodes(m, lambda n: labelled(m, n, "A"))),
+    ("MATCH (n:Nope) RETURN count(*) AS c", "label_size", lambda m: 0),
+    ("MATCH (n:A:B) RETURN count(*) AS c", "node_scan",
+     lambda m: count_nodes(m, lambda n: labelled(m, n, "A", "B"))),
+    ("MATCH (n:B) WHERE n.s = 2 RETURN count(*) AS c", "node_scan",
+     lambda m: count_nodes(m, lambda n: labelled(m, n, "B")
+                           and cy_eq(node_prop(m, n, "s"), 2))),
+    ("MATCH (n) WHERE n.m = true RETURN count(*) AS c", "node_scan",
+     lambda m: count_nodes(m, lambda n: cy_eq(node_prop(m, n, "m"), True))),
+    ("MATCH (n) WHERE 1 = n.m RETURN count(*) AS c", "node_scan",
+     lambda m: count_nodes(m, lambda n: cy_eq(node_prop(m, n, "m"), 1))),
+    ("MATCH (n:A) WHERE n.s IS NULL RETURN count(*) AS c", "node_scan",
+     lambda m: count_nodes(m, lambda n: labelled(m, n, "A")
+                           and node_prop(m, n, "s") is None)),
+    ("MATCH (n {s: '日本'}) RETURN count(*) AS c", "node_scan",
+     lambda m: count_nodes(m, lambda n: node_prop(m, n, "s") == "日本")),
+    ("MATCH (n) WHERE n.s IS NOT NULL AND n.m = 2.0 RETURN count(*) AS c",
+     "node_scan",
+     lambda m: count_nodes(m, lambda n: node_prop(m, n, "s") is not None
+                           and cy_eq(node_prop(m, n, "m"), 2))),
+    ("MATCH (n:A) WHERE n.s IN ['å', 2] RETURN count(*) AS c", "node_scan",
+     lambda m: count_nodes(m, lambda n: labelled(m, n, "A")
+                           and cy_in(node_prop(m, n, "s"), ("å", 2)))),
+    ("MATCH (n) WHERE n.m IN [true, 2.0, null] RETURN count(*) AS c",
+     "node_scan",
+     lambda m: count_nodes(m, lambda n: cy_in(node_prop(m, n, "m"),
+                                              (True, 2.0, None)))),
+    ("MATCH (n:B) WHERE n.m IN [] RETURN count(*) AS c", "node_scan",
+     lambda m: 0),
+    ("MATCH ()-[:R]->() RETURN count(*) AS c", "type_count",
+     lambda m: count_hops(m, {"R"}, "out", lambda p, a, b: True)),
+    ("MATCH ()<-[:R|S|Nope]-() RETURN count(*) AS c", "type_count",
+     lambda m: count_hops(m, {"R", "S"}, "in", lambda p, a, b: True)),
+    ("MATCH ()-[r:S]-() RETURN count(*) AS c", "type_count",
+     lambda m: count_hops(m, {"S"}, "any", lambda p, a, b: True)),
+    ("MATCH ()-[]->() RETURN count(*) AS c", "type_count",
+     lambda m: len(m.edges)),
+    ("MATCH ()-[:Nope]->() RETURN count(*) AS c", "type_count",
+     lambda m: 0),
+    ("MATCH (a:A)-[:R]->(b) RETURN count(*) AS c", "hop_scan",
+     lambda m: count_hops(m, {"R"}, "out",
+                          lambda p, a, b: labelled(m, a, "A"))),
+    ("MATCH (a)-[r:S]-(b:B) WHERE r.w = 1 RETURN count(*) AS c", "hop_scan",
+     lambda m: count_hops(m, {"S"}, "any",
+                          lambda p, a, b: labelled(m, b, "B")
+                          and cy_eq(p.get("w"), 1))),
+    ("MATCH (a:A:B)<-[:R]-(b) WHERE a.s IS NOT NULL AND b.m IS NULL "
+     "RETURN count(*) AS c", "hop_scan",
+     lambda m: count_hops(m, {"R"}, "in",
+                          lambda p, a, b: labelled(m, a, "A", "B")
+                          and node_prop(m, a, "s") is not None
+                          and node_prop(m, b, "m") is None)),
+    ("MATCH (a)-[:R|S {w: true}]->(b {s: 2.0}) RETURN count(*) AS c",
+     "hop_scan",
+     lambda m: count_hops(m, {"R", "S"}, "out",
+                          lambda p, a, b: cy_eq(p.get("w"), True)
+                          and cy_eq(node_prop(m, b, "s"), 2))),
+    ("MATCH (a)-[r:R|S]->(b:A) WHERE r.w IN [1, 'å'] AND b.s IN [2] "
+     "RETURN count(*) AS c", "hop_scan",
+     lambda m: count_hops(m, {"R", "S"}, "out",
+                          lambda p, a, b: labelled(m, b, "A")
+                          and cy_in(p.get("w"), (1, "å"))
+                          and cy_in(node_prop(m, b, "s"), (2,)))),
+    ("MATCH (a)-[r]->(b:B) WHERE r.w IS NULL RETURN count(*) AS c",
+     "hop_scan",
+     lambda m: count_hops(m, set(), "out",
+                          lambda p, a, b: labelled(m, b, "B")
+                          and p.get("w") is None)),
+    (_unique("A", "s"), "unique_key", lambda m: unique_values(m, "A", "s")),
+    (_unique("B", "m"), "unique_key", lambda m: unique_values(m, "B", "m")),
+    (_unique("B", "nope"), "unique_key", lambda m: 0),
+    # ineligible shapes run the general path
+    ("MATCH (a)-[:R]->(a) RETURN count(*) AS c", None,
+     lambda m: count_hops(m, {"R"}, "out", lambda p, a, b: a == b)),
+    ("MATCH (n) WHERE n.m IN [[1, 2], 0] RETURN count(*) AS c", None,
+     lambda m: count_nodes(m, lambda n: cy_in(node_prop(m, n, "m"),
+                                              ([1, 2], 0)))),
+    ("MATCH (n) WHERE n.s IN [n.m] RETURN count(*) AS c", None,
+     lambda m: count_nodes(m, lambda n: node_prop(m, n, "s") is not None
+                           and cy_eq(node_prop(m, n, "s"),
+                                     node_prop(m, n, "m")))),
+    ("MATCH (n) WHERE n.m = [1, 2] RETURN count(*) AS c", None,
+     lambda m: count_nodes(m, lambda n: node_prop(m, n, "m") == [1, 2])),
+    ("OPTIONAL MATCH (n:Nope) RETURN count(*) AS c", None, lambda m: 1),
+    ("MATCH (n:A) RETURN count(n) AS c", None,
+     lambda m: count_nodes(m, lambda n: labelled(m, n, "A"))),
+    ("MATCH (a)-[:R*1..2]->(b) RETURN count(*) AS c", None,
+     lambda m: sum(len(m.trails(a, "R", 1, 2, "out")) for a in m.nodes)),
+    ("MATCH (n:A) WHERE n.s IS NOT NULL "
+     "WITH n.s AS value, count(*) AS occurrences "
+     "WHERE occurrences = 2 RETURN count(*) AS c", None,
+     lambda m: sum(1 for size in Counter(
+         node_prop(m, n, "s") for n in m.nodes
+         if labelled(m, n, "A") and node_prop(m, n, "s") is not None
+     ).values() if size == 2)),
+)
+
+
+def _run_count(graph, text, **executor_options):
+    """``(count, count path)``; ``planner=None`` selects the general
+    (unplanned) path."""
+    executor = Executor(graph, **executor_options)
+    return executor.run(parse(text)).scalar(), executor.count_path
+
+
+def assert_count_battery(model):
+    graph = model.graph
+    for text, shape, oracle in COUNT_BATTERY:
+        expected = oracle(model)
+        pushed, path = _run_count(graph, text)
+        general, _path = _run_count(graph, text, planner=None)
+        assert (pushed, general) == (expected, expected), text
+        plan = default_planner().plan(parse(text), graph)
+        assert (plan.count.shape if plan.count else None) == shape, text
+        if shape is None:
+            assert path == "match", text
+        elif text != _unique("B", "m"):
+            # only the bool/number/list column may send a pushdown back
+            assert path == "pushdown", text
+
+
+@given(model=count_models())
+@settings(max_examples=120, deadline=None)
+def test_count_pushdown_matches_oracle(model):
+    assert_count_battery(model)
+
+
+@given(model=count_models())
+@settings(max_examples=60, deadline=None)
+def test_count_pushdown_matches_oracle_after_mutation(model):
+    """Pushdown on an incremental snapshot with tombstoned elements."""
+    first = next(iter(model.nodes))
+    # a list value on a tombstoned node must not send unique_key back
+    model.add_node("doomed", ("A", "B"), {"s": ["gone"], "m": 1})
+    model.add_edge("d1", "R", "doomed", first, {"w": 1})
+    model.add_edge("loop", "S", first, first, {"w": 1})
+    model.graph.columnar()              # compile, so mutations go incremental
+    model.update_node(first, {"s": 2.0, "m": None})
+    model.add_node("extra", ("A", "B"), {"s": "å", "m": True})
+    model.add_edge("x1", "R", first, "extra", {"w": 1.0})
+    model.add_edge("x2", "S", "extra", "extra", {"w": True})
+    model.remove_edge("loop")
+    model.remove_node("doomed")         # detaches d1 as well
+    snapshot = model.graph.columnar()
+    assert snapshot.origin == "incremental"
+    assert snapshot.dead_nodes and snapshot.dead_edges
+    assert_count_battery(model)
+
+
+def test_unique_key_falls_back_on_mixed_columns():
+    """Each data condition that rules the value counts out."""
+    for values in ([True, 1, 2], [[1], [1], 3], [2 ** 53 + 1, 2.0 ** 53],
+                   [float("nan"), 1]):
+        model = Model()
+        for index, value in enumerate(values):
+            model.add_node(f"n{index}", ("A",), {"s": value})
+        pushed, path = _run_count(model.graph, _unique("A", "s"))
+        general, _path = _run_count(
+            model.graph, _unique("A", "s"), planner=None
+        )
+        assert path == "match", values
+        assert pushed == general, values

@@ -428,6 +428,30 @@ class TestExplain:
         rendered = explain(parse("RETURN 1 AS one"), g)
         assert "nothing to plan" in rendered
 
+    @pytest.mark.parametrize("text,shape", [
+        ("MATCH (p:Person) RETURN count(*) AS c", "label_size"),
+        ("MATCH ()-[:MEMBER_OF]->() RETURN count(*) AS c", "type_count"),
+        ("MATCH (p:Person {age: 21}) RETURN count(*) AS c", "node_scan"),
+        ("MATCH (p:Person)-[:MEMBER_OF]->(t:Team) WHERE t.name = 'team1' "
+         "RETURN count(*) AS c", "hop_scan"),
+        ("MATCH (p:Person) WHERE p.age IS NOT NULL WITH p.age AS value, "
+         "count(*) AS occurrences WHERE occurrences = 1 "
+         "RETURN count(*) AS c", "unique_key"),
+        ("MATCH (p:Person) WHERE p.age > 21 RETURN count(*) AS c", None),
+        ("MATCH (p:Person) RETURN DISTINCT count(*) AS c", None),
+        ("MATCH (p:Person) RETURN count(*) AS c LIMIT 1", None),
+        ("MATCH (p:Person), (t:Team) RETURN count(*) AS c", None),
+    ])
+    def test_count_pushdown_line(self, text, shape):
+        g = team_graph()
+        lines = [
+            line for line in explain(parse(text), g).splitlines()
+            if "count: pushdown" in line
+        ]
+        assert lines == ([f"+- count: pushdown ({shape})"] if shape else [])
+        planned, unplanned = run_both(g, text)
+        assert planned.rows == unplanned.rows
+
     def test_cli_explain_subcommand(self, capsys):
         from repro.experiments.cli import main
 

@@ -123,6 +123,13 @@ class TestCheckedInBaseline:
         regressions, _notes = compare(baseline, current)
         assert regressions == []
 
+    def test_profile_repeats_exactly_in_process(self):
+        """Count-memo entries live and die with a snapshot epoch, so a
+        second profile in the same process counts exactly the same."""
+        first, second = collect_profile(seed=0), collect_profile(seed=0)
+        assert first["counters"] == second["counters"]
+        assert first["spans"] == second["spans"]
+
 
 class TestPerfMain:
     def test_compare_ok_exits_zero(self):

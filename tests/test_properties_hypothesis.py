@@ -51,6 +51,20 @@ def test_count_tokens_non_negative_and_consistent(text):
     assert count_tokens(text) == len(split_tokens(text))
 
 
+#: unicode word runs long enough to be cut into several pieces, mixed
+#: with arbitrary text (separators, punctuation, combining marks)
+_long_words = st.text(
+    alphabet=st.characters(categories=("L", "N", "Mn", "Pc")),
+    min_size=5, max_size=40,
+)
+
+
+@given(st.lists(st.one_of(st.text(max_size=20), _long_words), max_size=30))
+def test_count_tokens_counts_pieces_of_unicode_words(parts):
+    text = " ".join(parts)
+    assert count_tokens(text) == len(split_tokens(text))
+
+
 # ----------------------------------------------------------------------
 # lexer totality
 # ----------------------------------------------------------------------
