@@ -5,9 +5,10 @@ One gateway process owns:
 * an **admission controller** (per-client token buckets, bounded
   in-flight work, queue-depth backpressure) that sheds overload with
   ``429`` + ``Retry-After`` before any work is queued;
-* a **dispatcher** over N worker *processes* (each a
-  ``python -m repro.gateway.worker`` subprocess running one
-  single-threaded :class:`~repro.service.MiningService`);
+* a **dispatcher** over N worker *processes* — the fleet's only
+  scheduler.  Each worker is a ``python -m repro.gateway.worker``
+  subprocess that mines one job at a time on its main thread through
+  the job core :func:`~repro.service.run_job`;
 * the **shared on-disk result cache** — job ids are the same content
   addresses the in-process service computes, so HTTP submissions,
   in-process ``mine()`` calls and sibling gateway processes all

@@ -11,7 +11,8 @@ process:
   the same :func:`~repro.service.jobs.cache_key` the in-process
   :class:`~repro.service.MiningService` uses, so an HTTP submission of
   a cell and an in-process ``mine()`` of the same cell share one id and
-  one shared-cache entry;
+  one shared-cache entry (workers recompute it from the snapshot they
+  load; ``gateway.fingerprint_mismatches`` counts disagreements);
 * **dataset snapshots** — each served dataset is materialised once to
   ``<cache_dir>/.snapshots/<name>.json`` (see
   :mod:`repro.datasets.snapshot`); workers load the snapshot instead of
@@ -24,7 +25,8 @@ process:
   path (``source=worker``) is exercised;
 * **graceful drain** — :meth:`drain` flips the door to refusing
   (``503 draining``), lets the dispatcher finish queued + in-flight
-  work within a deadline, then stops the fleet.
+  work within a deadline, then stops the fleet.  The dispatcher is the
+  only scheduler: a worker process runs one job at a time.
 
 The HTTP layer is stdlib :class:`~http.server.ThreadingHTTPServer` on
 the shared :class:`~repro.obs.JsonRequestHandler` base — no framework,
@@ -59,6 +61,7 @@ from repro.mining.persistence import run_to_dict
 from repro.mining.result import MiningRun
 from repro.obs.export import prometheus_text
 from repro.obs.server import JsonRequestHandler
+from repro.service.api import JobFailedError
 from repro.service.cache import ResultCache
 from repro.service.jobs import cache_key, graph_fingerprint
 from repro.stream.mutations import MutationError
@@ -104,16 +107,8 @@ class UnknownDatasetError(KeyError):
     """The dataset loader has no dataset by that name."""
 
 
-class GatewayJobFailed(RuntimeError):
-    """The awaited job finished FAILED or CANCELLED."""
-
-    def __init__(self, job: GatewayJob) -> None:
-        super().__init__(
-            f"job {job.job_id[:12]} ({'/'.join(job.spec.cell())}) "
-            f"finished {job.state.value}"
-            + (f": {job.error}" if job.error else "")
-        )
-        self.job = job
+class GatewayJobFailed(JobFailedError):
+    """The awaited gateway job finished FAILED or CANCELLED."""
 
 
 class Gateway:
@@ -325,17 +320,7 @@ class Gateway:
         under its fresh content address — the grid becomes a live
         workload.
         """
-        if self.draining:
-            raise GatewayRejected(self.admission.shed(
-                "draining", retry_after=self.drain_timeout,
-            ))
-        decision = self.admission.admit(
-            client,
-            queue_depth=self.dispatcher.backlog,
-            inflight=self.dispatcher.inflight,
-        )
-        if not decision.admitted:
-            raise GatewayRejected(decision)
+        self._admit(client)
         context = obs.parse_traceparent(
             payload.get("traceparent") if isinstance(payload, dict) else None
         )
@@ -400,17 +385,7 @@ class Gateway:
         submission is idempotent, exactly like the in-process service.
         """
         spec = protocol.parse_submit(payload, self.defaults)
-        if self.draining:
-            raise GatewayRejected(self.admission.shed(
-                "draining", retry_after=self.drain_timeout,
-            ))
-        decision = self.admission.admit(
-            client,
-            queue_depth=self.dispatcher.backlog,
-            inflight=self.dispatcher.inflight,
-        )
-        if not decision.admitted:
-            raise GatewayRejected(decision)
+        self._admit(client)
         snapshot_path, fingerprint = self._dataset_entry(spec.dataset)
         job_id = cache_key(spec, fingerprint)
         with self._jobs_lock:
@@ -478,6 +453,20 @@ class Gateway:
             ))
         obs.inc("gateway.jobs_accepted")
         return job
+
+    def _admit(self, client: str) -> None:
+        """Admission control; raises :class:`GatewayRejected` on shed."""
+        if self.draining:
+            raise GatewayRejected(self.admission.shed(
+                "draining", retry_after=self.drain_timeout,
+            ))
+        decision = self.admission.admit(
+            client,
+            queue_depth=self.dispatcher.backlog,
+            inflight=self.dispatcher.inflight,
+        )
+        if not decision.admitted:
+            raise GatewayRejected(decision)
 
     def _remember(self, job: GatewayJob) -> None:
         with self._jobs_lock:
@@ -612,6 +601,8 @@ class _Handler(JsonRequestHandler):
         started = clock()
         try:
             handler()
+        except UnknownGatewayJobError as error:
+            self._send_json(404, {"error": f"unknown job {error.args[0]!r}"})
         except Exception as error:  # noqa - serving must survive any request
             self._send_json(500, {"error": str(error)})
         elapsed = clock() - started
@@ -709,21 +700,20 @@ class _Handler(JsonRequestHandler):
         self._dispatch("GET", route[0], route[1])
 
     # ------------------------------------------------------------------
-    def _submit(self) -> None:
+    def _admitted(self, action: Callable[[dict, str], object]) -> object:
+        """Run one admission-controlled action on the JSON body; its
+        refusals are answered 400/404/429/503 and return None."""
         try:
             payload = self._read_json_body()
         except ValueError as error:
             self._send_json(400, {"error": str(error)})
-            return
-        client = self._client_id(payload)
+            return None
         try:
-            job = self.gateway.submit(payload, client=client)
-        except protocol.ProtocolError as error:
+            return action(payload, self._client_id(payload))
+        except (protocol.ProtocolError, MutationError) as error:
             self._send_json(400, {"error": str(error)})
-            return
         except UnknownDatasetError as error:
             self._send_json(404, {"error": str(error.args[0])})
-            return
         except GatewayRejected as error:
             decision = error.decision
             self._send_json(
@@ -734,22 +724,20 @@ class _Handler(JsonRequestHandler):
                 },
                 headers=_retry_after_header(decision.retry_after),
             )
-            return
-        status = 200 if job.state.terminal else 202
-        self._send_json(status, job.snapshot())
+        return None
+
+    def _submit(self) -> None:
+        job = self._admitted(lambda payload, client: self.gateway.submit(
+            payload, client=client,
+        ))
+        if job is not None:
+            self._send_json(200 if job.state.terminal else 202, job.snapshot())
 
     def _status(self, job_id: str) -> None:
-        try:
-            self._send_json(200, self.gateway.status(job_id))
-        except UnknownGatewayJobError:
-            self._send_json(404, {"error": f"unknown job {job_id!r}"})
+        self._send_json(200, self.gateway.status(job_id))
 
     def _result(self, job_id: str) -> None:
-        try:
-            job = self.gateway._job(job_id)
-        except UnknownGatewayJobError:
-            self._send_json(404, {"error": f"unknown job {job_id!r}"})
-            return
+        job = self.gateway._job(job_id)
         if not job.state.terminal:
             self._send_json(202, job.snapshot())
             return
@@ -766,41 +754,14 @@ class _Handler(JsonRequestHandler):
         })
 
     def _mutate(self, name: str) -> None:
-        try:
-            payload = self._read_json_body()
-        except ValueError as error:
-            self._send_json(400, {"error": str(error)})
-            return
-        client = self._client_id(
-            payload if isinstance(payload, dict) else {}
-        )
-        try:
-            ack = self.gateway.mutate(name, payload, client=client)
-        except MutationError as error:
-            self._send_json(400, {"error": str(error)})
-            return
-        except UnknownDatasetError as error:
-            self._send_json(404, {"error": str(error.args[0])})
-            return
-        except GatewayRejected as error:
-            decision = error.decision
-            self._send_json(
-                error.status,
-                {
-                    "error": decision.reason,
-                    "retry_after": decision.retry_after,
-                },
-                headers=_retry_after_header(decision.retry_after),
-            )
-            return
-        self._send_json(200, ack)
+        ack = self._admitted(lambda payload, client: self.gateway.mutate(
+            name, payload, client=client,
+        ))
+        if ack is not None:
+            self._send_json(200, ack)
 
     def _trace(self, job_id: str) -> None:
-        try:
-            payload = self.gateway.trace_payload(job_id)
-        except UnknownGatewayJobError:
-            self._send_json(404, {"error": f"unknown job {job_id!r}"})
-            return
+        payload = self.gateway.trace_payload(job_id)
         if payload is None:
             self._send_json(404, {
                 "error": (
@@ -812,11 +773,7 @@ class _Handler(JsonRequestHandler):
         self._send_json(200, payload)
 
     def _cancel(self, job_id: str) -> None:
-        try:
-            cancelled = self.gateway.cancel(job_id)
-        except UnknownGatewayJobError:
-            self._send_json(404, {"error": f"unknown job {job_id!r}"})
-            return
+        cancelled = self.gateway.cancel(job_id)
         self._send_json(200, {"job_id": job_id, "cancelled": cancelled})
 
     def _healthz(self) -> None:

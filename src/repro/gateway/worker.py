@@ -1,20 +1,21 @@
 """Worker process entrypoint: ``python -m repro.gateway.worker``.
 
-One worker is one OS process owning one single-threaded
-:class:`~repro.service.MiningService` pointed at the *shared* on-disk
-result cache.  It speaks the line protocol of
-:mod:`repro.gateway.protocol` over stdin/stdout:
+One worker is one single-threaded OS process: it mines one job at a
+time on its main thread through the job core
+:func:`~repro.service.run_job` (retry/backoff, store into the *shared*
+on-disk result cache).  The dispatcher is the only scheduler.  The
+worker speaks the line protocol of :mod:`repro.gateway.protocol`:
 
 * reads ``job`` ops — each names a dataset snapshot file (written by
   the gateway via :mod:`repro.datasets.snapshot`), the full pipeline
   spec and the gateway's content-addressed job id;
-* loads the snapshot (cached per dataset name), runs the job through
-  the existing MiningService machinery (retry/backoff, disk cache), and
-  emits a ``done`` event.  A cell another worker process already mined
-  lands as a **cross-process cache hit** — the service finds the entry
-  in the shared cache and never touches a pipeline;
-* exits cleanly on a ``shutdown`` op, stdin EOF, or SIGTERM/SIGINT —
-  all three drain the in-flight job with a deadline before exiting.
+* loads the snapshot (cached and fingerprinted per dataset name),
+  recomputes the content address and emits a ``done`` event.  A cell
+  another worker process already mined is a **cross-process cache
+  hit** that never touches a pipeline;
+* exits on a ``shutdown`` op or stdin EOF, and on SIGTERM/SIGINT: at
+  once when idle, else after the in-flight job — or, past
+  ``drain_timeout``, abandoning it for the dispatcher to requeue.
 
 Stdout carries protocol lines only; anything human-readable goes to
 stderr.
@@ -33,19 +34,22 @@ from typing import IO
 from repro.datasets.base import Dataset
 from repro.datasets.snapshot import load_dataset
 from repro.gateway import protocol
+from repro.mining.runner import PipelineCache
 from repro.obs import distributed
 from repro.obs import trace as obs_trace
-from repro.service import MiningService, RetryPolicy
+from repro.service import Job, JobState, ResultCache, RetryPolicy, run_job
+from repro.service.jobs import cache_key, graph_fingerprint
 
 __all__ = ["GatewayWorker", "main"]
 
 
-class _DrainRequested(Exception):
-    """Raised out of a signal handler to unwind into the drain path."""
+class _DrainRequested(BaseException):
+    """Raised out of a signal handler to unwind into the drain path; a
+    BaseException so a job's ``except Exception`` cannot swallow it."""
 
 
 class GatewayWorker:
-    """The protocol loop around one in-process MiningService."""
+    """The protocol loop around the mining job core."""
 
     def __init__(
         self,
@@ -61,74 +65,52 @@ class GatewayWorker:
         self.drain_timeout = drain_timeout
         self._stdin = stdin if stdin is not None else sys.stdin
         self._stdout = stdout if stdout is not None else sys.stdout
-        self._cache_dir = Path(cache_dir)
+        self._cache = ResultCache(cache_dir)
         self._retry_policy = RetryPolicy(
             max_retries=max_retries, base_delay=retry_base_delay
         )
-        self._snapshots: dict[str, str] = {}
+        #: dataset name -> (snapshot path, graph fingerprint)
+        self._snapshots: dict[str, tuple[str, str]] = {}
         self._datasets: dict[str, Dataset] = {}
-        self._service: MiningService | None = None
+        self._pipelines = PipelineCache(loader=self._datasets.__getitem__)
+        self._busy = False               # a job is running
+        self._drain_requested = False    # signalled during a job
         self.jobs_handled = 0
 
     # ------------------------------------------------------------------
-    def _load(self, name: str) -> Dataset:
-        """MiningService loader: datasets come from snapshot files."""
-        try:
-            return self._datasets[name.lower()]
-        except KeyError:
-            raise KeyError(
-                f"worker has no snapshot for dataset {name!r}"
-            ) from None
-
-    def _ensure_service(self) -> MiningService:
-        if self._service is None:
-            self._service = MiningService(
-                cache_dir=self._cache_dir,
-                workers=1,
-                loader=self._load,
-                retry_policy=self._retry_policy,
-            )
-        return self._service
-
-    def _ensure_snapshot(self, name: str, path: str) -> None:
-        """Load (or reload) the dataset behind ``name``.
+    def _ensure_snapshot(self, name: str, path: str) -> str:
+        """Load (or reload) the dataset behind ``name``; returns its
+        graph fingerprint.
 
         A changed snapshot path for a known name means the gateway
-        regenerated the dataset: the old MiningService caches (contexts,
-        fingerprints, warmed pipelines) are stale, so the whole service
-        is rebuilt rather than risk mining against the old graph.
+        regenerated the dataset: that dataset's context and warmed
+        pipelines are stale and dropped; other datasets keep theirs.
         """
         name = name.lower()
-        if self._snapshots.get(name) == path:
-            return
-        dataset = load_dataset(path)
-        if name in self._snapshots and self._service is not None:
-            self._service.shutdown(wait=True, timeout=self.drain_timeout)
-            self._service = None
-        self._snapshots[name] = path
-        self._datasets[name] = dataset
+        if self._snapshots.get(name, ("",))[0] != path:
+            dataset = self._datasets[name] = load_dataset(path)
+            self._pipelines.forget(name)
+            self._snapshots[name] = (path, graph_fingerprint(dataset.graph))
+        return self._snapshots[name][1]
 
     # ------------------------------------------------------------------
     def _emit(self, message: dict) -> None:
         self._stdout.write(protocol.encode_line(message))
         self._stdout.flush()
 
-    def _begin_trace(
-        self, message: dict, job_id: str
-    ) -> tuple[object, object, str] | None:
+    def _begin_trace(self, message: dict, job_id: str) -> tuple | None:
         """Adopt the gateway's trace context for one job, if present.
 
         Installs a fresh per-job collector and opens the worker-side
         root span; every service/pipeline span the mining run records
-        nests under it via the existing in-process propagation.  Returns
-        ``(collector, root, trace_id)`` plus remembers the previously
-        installed collector for restoration.
+        nests under it.  Returns ``(collector, root, trace_id,
+        previously installed collector)``.
         """
         context = distributed.parse_traceparent(message.get("trace"))
         if context is None:
             return None
         trace_id, parent_span = context
-        self._previous_collector = obs_trace.get_collector()
+        previous = obs_trace.get_collector()
         collector = obs_trace.TraceCollector()
         obs_trace.install(collector)
         root = collector.start_span("worker.job", {
@@ -138,99 +120,95 @@ class GatewayWorker:
             "worker": self.worker_id,
             "pid": os.getpid(),
         })
-        return collector, root, trace_id
+        return collector, root, trace_id, previous
 
     def _end_trace(
-        self, adopted: tuple[object, object, str] | None,
-        error: str | None = None,
+        self, adopted: tuple | None, error: str | None = None,
     ) -> tuple[str | None, dict | None]:
         """Close the job's root span, restore the previous collector and
         serialise the finished tree for the ``done`` event."""
         if adopted is None:
             return None, None
-        collector, root, trace_id = adopted
+        collector, root, trace_id, previous = adopted
         if error is not None:
             root.attributes.setdefault("error", error)
         collector.end_span(root)
-        previous = getattr(self, "_previous_collector", None)
         if previous is not None:
             obs_trace.install(previous)
         else:
             obs_trace.uninstall()
-        self._previous_collector = None
         return trace_id, distributed.span_to_wire(root)
+
+    def _mine(self, message: dict) -> dict:
+        """Run one ``job`` op; returns its ``done`` event fields."""
+        spec = protocol.spec_from_payload(message["spec"])
+        fingerprint = self._ensure_snapshot(
+            spec.dataset, str(message["snapshot"])
+        )
+        job = Job(spec=spec, job_id=cache_key(spec, fingerprint))
+        job.result = self._cache.get(job.job_id)
+        if job.result is not None:
+            job.cache_hit, job.state = True, JobState.DONE
+        else:
+            job.state = JobState.RUNNING
+            job.submitted_at = job.started_at = time.monotonic()
+            run_job(job, self._pipelines, self._retry_policy, self._cache)
+        if job.state is not JobState.DONE:
+            return {"ok": False, "error": job.error}
+        return {
+            "ok": True, "cache_hit": job.cache_hit,
+            "attempts": job.attempts, "retries": job.retries,
+            "rules": job.result.rule_count, "computed_id": job.job_id,
+        }
 
     def handle_job(self, message: dict) -> None:
         job_id = str(message.get("job_id", ""))
         started = time.monotonic()
         adopted = self._begin_trace(message, job_id)
+        # stays the outcome only if the drain deadline abandons the job,
+        # which unwinds past the done event
+        outcome = {"ok": False, "error": "abandoned at the drain deadline"}
         try:
-            spec = protocol.spec_from_payload(message["spec"])
-            self._ensure_snapshot(spec.dataset, str(message["snapshot"]))
-            service = self._ensure_service()
-            overrides = {
-                "base_seed": spec.base_seed,
-                "window_size": spec.window_size,
-                "overlap": spec.overlap,
-                "rag_chunk_tokens": spec.rag_chunk_tokens,
-                "rag_top_k": spec.rag_top_k,
-            }
-            trace_tags = (
-                {"trace_id": adopted[2]} if adopted is not None else None
-            )
-            local_id = service.submit(
-                spec.dataset, spec.model, spec.method, spec.prompt_mode,
-                trace_tags=trace_tags,
-                **overrides,
-            )
-            run = service.result(local_id)
-            status = service.status(local_id)
+            outcome = self._mine(message)
         except Exception as error:
-            # JobFailedError, snapshot errors, protocol drift — anything
-            # job-scoped becomes a failed done event, never a dead worker
-            reason = f"{type(error).__name__}: {error}"
-            trace_id, spans = self._end_trace(adopted, error=reason)
-            self._emit(protocol.done_event(
-                job_id, ok=False,
-                run_seconds=time.monotonic() - started,
-                error=reason,
-                trace=trace_id, spans=spans,
-            ))
-        else:
-            trace_id, spans = self._end_trace(adopted)
-            self._emit(protocol.done_event(
-                job_id, ok=True,
-                cache_hit=bool(status["cache_hit"]),
-                attempts=int(status["attempts"]),
-                retries=int(status["retries"]),
-                rules=run.rule_count,
-                run_seconds=time.monotonic() - started,
-                computed_id=local_id,
-                trace=trace_id, spans=spans,
-            ))
+            # snapshot errors, protocol drift — anything job-scoped
+            # becomes a failed done event, never a dead worker
+            outcome["error"] = f"{type(error).__name__}: {error}"
         finally:
-            self.jobs_handled += 1
+            trace_id, spans = self._end_trace(adopted, outcome.get("error"))
+        self._emit(protocol.done_event(
+            job_id, run_seconds=time.monotonic() - started,
+            trace=trace_id, spans=spans, **outcome,
+        ))
+        self.jobs_handled += 1
 
     # ------------------------------------------------------------------
-    def _install_signal_handlers(self) -> None:
-        def handler(signum: int, frame: object) -> None:
+    def _on_signal(self, signum: int, frame: object) -> None:
+        """SIGTERM/SIGINT exit at once when idle; during a job they arm
+        the drain deadline (SIGALRM), which abandons the job."""
+        if signum == signal.SIGALRM or not self._busy:
             raise _DrainRequested()
-
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                signal.signal(signum, handler)
-            except ValueError:  # not the main thread (tests)
-                return
+        if not self._drain_requested:
+            self._drain_requested = True
+            # a zero interval would disarm the timer, not fire it
+            signal.setitimer(
+                signal.ITIMER_REAL, max(self.drain_timeout, 1e-3)
+            )
 
     def run(self) -> int:
-        """Protocol loop: read ops until shutdown/EOF/signal, drain."""
-        self._install_signal_handlers()
-        self._emit(protocol.ready_event(self.worker_id, os.getpid()))
+        """Protocol loop: read ops until shutdown/EOF/signal, then bye."""
+        previous = {}
+        try:
+            for signum in (signal.SIGTERM, signal.SIGINT, signal.SIGALRM):
+                previous[signum] = signal.signal(signum, self._on_signal)
+        except ValueError:  # not the main thread: no signal drain
+            pass
         exit_code = 0
         try:
-            while True:
+            self._emit(protocol.ready_event(self.worker_id, os.getpid()))
+            while not self._drain_requested:
                 line = self._stdin.readline()
-                if not line:          # gateway closed stdin: drain
+                if not line:          # gateway closed stdin
                     break
                 line = line.strip()
                 if not line:
@@ -248,14 +226,20 @@ class GatewayWorker:
                 if op == "shutdown":
                     break
                 if op == "job":
-                    self.handle_job(message)
+                    self._busy = True
+                    try:
+                        self.handle_job(message)
+                    finally:
+                        self._busy = False
                 # unknown ops are skipped: a newer gateway may send
                 # advisory ops an older worker can safely ignore
         except _DrainRequested:
             pass
         finally:
-            if self._service is not None:
-                self._service.shutdown(wait=True, timeout=self.drain_timeout)
+            if previous:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
             self._emit({
                 "event": "bye",
                 "worker_id": self.worker_id,
@@ -268,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.gateway.worker",
         description=(
-            "Gateway worker process: drains mining jobs from stdin "
+            "Gateway worker process: mines jobs read from stdin "
             "(JSON lines), stores results in the shared on-disk cache, "
             "reports completions on stdout."
         ),

@@ -1,24 +1,113 @@
 """Full experiment grid: datasets × models × encodings × prompts.
 
-One :class:`ExperimentRunner` owns the per-dataset contexts and pipeline
-instances (so encodings, window sets and vector indexes are built once)
-and produces the 24 :class:`~repro.mining.result.MiningRun` cells that
-Tables 2-6 are assembled from.  Runs are cached by cell key.
+One :class:`ExperimentRunner` produces the 24
+:class:`~repro.mining.result.MiningRun` cells that Tables 2-6 are
+assembled from.  Runs are cached by cell key; contexts and warmed
+pipelines live in a :class:`PipelineCache`, which the job service and
+the gateway worker use too (so encodings, window sets and vector
+indexes are built once per dataset and config).
 """
 
 from __future__ import annotations
 
+import copy
+import threading
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro import obs
+from repro.datasets.base import Dataset
 from repro.datasets.registry import DATASET_NAMES, load
 from repro.llm.profiles import MODEL_NAMES
-from repro.mining.pipeline import PROMPT_MODES, PipelineContext
+from repro.mining.pipeline import PROMPT_MODES, BasePipeline, PipelineContext
 from repro.mining.ragpipe import RAGPipeline
 from repro.mining.result import MiningRun
 from repro.mining.sliding import SlidingWindowPipeline
 
 METHODS = ("sliding_window", "rag")
+
+
+def build_pipeline(
+    context: PipelineContext,
+    method: str,
+    window_size: int = 8000,
+    overlap: int = 500,
+    rag_chunk_tokens: int = 512,
+    rag_top_k: int = 16,
+    base_seed: int = 0,
+) -> BasePipeline:
+    """A fresh (unwarmed) pipeline for one encoding method."""
+    if method == "sliding_window":
+        return SlidingWindowPipeline(
+            context, window_size=window_size, overlap=overlap,
+            base_seed=base_seed,
+        )
+    if method == "rag":
+        return RAGPipeline(
+            context, chunk_tokens=rag_chunk_tokens, top_k=rag_top_k,
+            base_seed=base_seed,
+        )
+    raise ValueError(f"unknown method {method!r}; one of {METHODS}")
+
+
+class PipelineCache:
+    """Per-dataset contexts and warmed pipelines, safe across threads.
+
+    Pipelines are keyed by encoding config, not by seed (windows and the
+    RAG index do not depend on it): all seeds share one warmed pipeline,
+    each through a shallow copy carrying its own ``base_seed``.
+    """
+
+    def __init__(
+        self,
+        loader: Callable[[str], Dataset] | None = None,
+        llm_middleware: Callable[[object], object] | None = None,
+    ) -> None:
+        self.loader = loader or load
+        self.llm_middleware = llm_middleware
+        self._contexts: dict[str, PipelineContext] = {}
+        self._pipelines: dict[tuple, BasePipeline] = {}
+        self._lock = threading.RLock()
+
+    def context(self, dataset: str) -> PipelineContext:
+        key = dataset.lower()
+        with self._lock:
+            if key not in self._contexts:
+                self._contexts[key] = PipelineContext.build(self.loader(key))
+            return self._contexts[key]
+
+    def pipeline(
+        self,
+        dataset: str,
+        method: str,
+        window_size: int = 8000,
+        overlap: int = 500,
+        rag_chunk_tokens: int = 512,
+        rag_top_k: int = 16,
+        base_seed: int = 0,
+    ) -> BasePipeline:
+        """The warmed pipeline for one encoding config, seeded per call."""
+        config = (window_size, overlap, rag_chunk_tokens, rag_top_k)
+        key = (dataset.lower(), method, *config)
+        with self._lock:
+            if key not in self._pipelines:
+                shared = build_pipeline(self.context(dataset), method, *config)
+                shared.llm_middleware = self.llm_middleware
+                # pre-build windows / vector index under the lock so
+                # concurrent mine() calls only ever read shared state
+                shared.warm()
+                self._pipelines[key] = shared
+            seeded = copy.copy(self._pipelines[key])
+        seeded.base_seed = base_seed
+        return seeded
+
+    def forget(self, dataset: str) -> None:
+        """Drop one dataset's context and pipelines (its graph changed)."""
+        name = dataset.lower()
+        with self._lock:
+            self._contexts.pop(name, None)
+            for key in [key for key in self._pipelines if key[0] == name]:
+                del self._pipelines[key]
 
 
 @dataclass
@@ -30,36 +119,22 @@ class ExperimentRunner:
     overlap: int = 500
     rag_chunk_tokens: int = 512
     rag_top_k: int = 16
-    _contexts: dict[str, PipelineContext] = field(default_factory=dict)
-    _pipelines: dict[tuple[str, str], object] = field(default_factory=dict)
+    _cache: PipelineCache = field(default_factory=PipelineCache)
     _runs: dict[tuple[str, str, str, str], MiningRun] = field(
         default_factory=dict
     )
 
     # ------------------------------------------------------------------
     def context(self, dataset: str) -> PipelineContext:
-        key = dataset.lower()
-        if key not in self._contexts:
-            self._contexts[key] = PipelineContext.build(load(key))
-        return self._contexts[key]
+        return self._cache.context(dataset)
 
-    def pipeline(self, dataset: str, method: str):
-        key = (dataset.lower(), method)
-        if key not in self._pipelines:
-            context = self.context(dataset)
-            if method == "sliding_window":
-                self._pipelines[key] = SlidingWindowPipeline(
-                    context, window_size=self.window_size,
-                    overlap=self.overlap, base_seed=self.base_seed,
-                )
-            elif method == "rag":
-                self._pipelines[key] = RAGPipeline(
-                    context, chunk_tokens=self.rag_chunk_tokens,
-                    top_k=self.rag_top_k, base_seed=self.base_seed,
-                )
-            else:
-                raise ValueError(f"unknown method {method!r}")
-        return self._pipelines[key]
+    def pipeline(self, dataset: str, method: str) -> BasePipeline:
+        return self._cache.pipeline(
+            dataset, method,
+            window_size=self.window_size, overlap=self.overlap,
+            rag_chunk_tokens=self.rag_chunk_tokens,
+            rag_top_k=self.rag_top_k, base_seed=self.base_seed,
+        )
 
     # ------------------------------------------------------------------
     def run(

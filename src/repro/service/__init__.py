@@ -1,9 +1,10 @@
 """repro.service — in-process mining job service.
 
 The experiment grid as schedulable work: content-addressed jobs, a
-bounded priority queue with backpressure, a worker pool with
-retry/backoff around the LLM pipelines, and an on-disk result cache
-layered on :mod:`repro.mining.persistence`.
+bounded priority queue with backpressure, a worker pool running the job
+core :func:`run_job` (retry/backoff around the LLM pipelines; gateway
+workers call it directly), and an on-disk result cache layered on
+:mod:`repro.mining.persistence`.
 """
 
 from repro.service.api import (
@@ -28,6 +29,7 @@ from repro.service.workers import (
     RetryPolicy,
     WorkerPool,
     call_with_retry,
+    run_job,
 )
 
 __all__ = [
@@ -51,4 +53,5 @@ __all__ = [
     "call_with_retry",
     "code_fingerprint",
     "graph_fingerprint",
+    "run_job",
 ]

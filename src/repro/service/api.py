@@ -29,15 +29,13 @@ from repro import obs
 from repro.datasets.base import Dataset
 from repro.datasets.registry import DATASET_NAMES, load
 from repro.llm.profiles import MODEL_NAMES
-from repro.mining.pipeline import PROMPT_MODES, BasePipeline, PipelineContext
-from repro.mining.ragpipe import RAGPipeline
+from repro.mining.pipeline import PROMPT_MODES
 from repro.mining.result import MiningRun
-from repro.mining.runner import METHODS
-from repro.mining.sliding import SlidingWindowPipeline
+from repro.mining.runner import METHODS, PipelineCache
 from repro.service.cache import ResultCache
 from repro.service.jobs import Job, JobSpec, JobState, cache_key, graph_fingerprint
 from repro.service.queue import JobQueue, QueueFull
-from repro.service.workers import RetryPolicy, WorkerPool, call_with_retry
+from repro.service.workers import RetryPolicy, WorkerPool, run_job
 
 __all__ = [
     "JobFailedError",
@@ -93,7 +91,6 @@ class MiningService:
         self.overlap = overlap
         self.rag_chunk_tokens = rag_chunk_tokens
         self.rag_top_k = rag_top_k
-        self.llm_middleware = llm_middleware
         self._sleep = sleep
         self._clock = clock
         self.cache = (
@@ -102,11 +99,10 @@ class MiningService:
         self.queue = JobQueue(maxsize=queue_depth)
         self.pool = WorkerPool(self.queue, self._execute, workers=workers)
         self._jobs: dict[str, Job] = {}
-        self._contexts: dict[str, PipelineContext] = {}
+        self._pipelines = PipelineCache(self.loader, llm_middleware)
         self._fingerprints: dict[str, str] = {}
-        self._pipelines: dict[tuple, BasePipeline] = {}
         self._lock = threading.Lock()         # job table + state moves
-        self._build_lock = threading.Lock()   # context/pipeline builds
+        self._fingerprint_lock = threading.Lock()
         self._started = False
         self._draining = False
         self._running = 0                     # jobs currently executing
@@ -156,50 +152,14 @@ class MiningService:
     # ------------------------------------------------------------------
     # dataset / pipeline plumbing
     # ------------------------------------------------------------------
-    def _dataset(self, name: str) -> Dataset:
-        return self.loader(name.lower())
-
     def _graph_fingerprint(self, dataset: str) -> str:
         key = dataset.lower()
-        with self._build_lock:
+        with self._fingerprint_lock:
             if key not in self._fingerprints:
                 self._fingerprints[key] = graph_fingerprint(
-                    self._dataset(key).graph
+                    self.loader(key).graph
                 )
             return self._fingerprints[key]
-
-    def _context(self, dataset: str) -> PipelineContext:
-        key = dataset.lower()
-        if key not in self._contexts:
-            self._contexts[key] = PipelineContext.build(self._dataset(key))
-        return self._contexts[key]
-
-    def _pipeline(self, spec: JobSpec) -> BasePipeline:
-        key = (
-            spec.dataset.lower(), spec.method, spec.base_seed,
-            spec.window_size, spec.overlap,
-            spec.rag_chunk_tokens, spec.rag_top_k,
-        )
-        with self._build_lock:
-            pipeline = self._pipelines.get(key)
-            if pipeline is None:
-                context = self._context(spec.dataset)
-                if spec.method == "sliding_window":
-                    pipeline = SlidingWindowPipeline(
-                        context, window_size=spec.window_size,
-                        overlap=spec.overlap, base_seed=spec.base_seed,
-                    )
-                else:
-                    pipeline = RAGPipeline(
-                        context, chunk_tokens=spec.rag_chunk_tokens,
-                        top_k=spec.rag_top_k, base_seed=spec.base_seed,
-                    )
-                pipeline.llm_middleware = self.llm_middleware
-                # pre-build windows / vector index under the lock so
-                # concurrent mine() calls only ever read shared state
-                pipeline.warm()
-                self._pipelines[key] = pipeline
-            return pipeline
 
     def _spec(
         self, dataset: str, model: str, method: str, prompt_mode: str,
@@ -239,7 +199,6 @@ class MiningService:
         priority: int = 0,
         block: bool = True,
         timeout: Optional[float] = None,
-        trace_tags: Optional[dict] = None,
         **overrides: object,
     ) -> str:
         """Submit one grid cell; returns its content-addressed job id.
@@ -249,7 +208,6 @@ class MiningService:
         cache completes immediately as a DONE cache-hit job.  When the
         queue is at capacity the call blocks (``block``/``timeout``
         control backpressure behaviour; :class:`QueueFull` on refusal).
-        ``trace_tags`` are stamped onto the job's ``service.job`` span.
         """
         if self.draining:
             raise ServiceDraining(
@@ -268,7 +226,6 @@ class MiningService:
             # snapshot the caller's tracing position: the worker thread
             # attaches it so the job's spans join the submitter's tree
             trace_ctx=obs.capture(),
-            trace_tags=dict(trace_tags) if trace_tags else {},
         )
         cached = self.cache.get(job_id) if self.cache is not None else None
         if cached is not None:
@@ -424,59 +381,13 @@ class MiningService:
         context = job.trace_ctx if job.trace_ctx is not None else (
             obs.EMPTY_CONTEXT
         )
-        with context.attach():
-            self._execute_attached(job)
-
-    def _execute_attached(self, job: Job) -> None:
-        spec = job.spec
-        obs.observe("service.job_wait_seconds", job.wait_seconds)
-
-        def attempt() -> MiningRun:
-            job.attempts += 1
-            with obs.span(
-                "service.attempt",
-                job_id=job.job_id[:12], attempt=job.attempts,
-            ):
-                pipeline = self._pipeline(spec)
-                return pipeline.mine(spec.model, spec.prompt_mode)
-
-        def on_retry(attempts: int, pause: float, error: BaseException) -> None:
-            job.retries += 1
-            obs.inc("service.retries")
-            obs.observe("service.retry_backoff_seconds", pause)
-
         try:
-            with obs.span(
-                "service.job",
-                job_id=job.job_id[:12],
-                dataset=spec.dataset, model=spec.model,
-                method=spec.method, prompt_mode=spec.prompt_mode,
-            ) as sp:
-                for tag, value in job.trace_tags.items():
-                    sp.set_attribute(tag, value)
-                run = call_with_retry(
-                    attempt, self.retry_policy,
+            with context.attach():
+                run_job(
+                    job, self._pipelines, self.retry_policy, self.cache,
                     sleep=self._sleep, clock=self._clock,
-                    on_retry=on_retry,
                 )
-                sp.set_attribute("attempts", job.attempts)
-                sp.set_attribute("rules", run.rule_count)
-            if self.cache is not None:
-                self.cache.put(
-                    job.job_id, run,
-                    meta={"cell": list(spec.cell()),
-                          "attempts": job.attempts},
-                )
-            job.result = run
-            job.state = JobState.DONE
-            obs.inc("service.jobs_completed", cache_hit=False)
-        except Exception as error:
-            job.error = f"{type(error).__name__}: {error}"
-            job.state = JobState.FAILED
-            obs.inc("service.jobs_failed", error=type(error).__name__)
         finally:
-            job.finished_at = self._clock()
             with self._lock:
                 self._running -= 1
-            obs.observe("service.job_seconds", job.run_seconds)
             job.done.set()

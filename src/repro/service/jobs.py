@@ -200,9 +200,6 @@ class Job:
     #: submit time so the worker thread re-parents the job's spans under
     #: the client's span tree instead of growing an orphan root
     trace_ctx: object = field(default=None, repr=False)
-    #: caller-supplied attributes stamped onto the ``service.job`` span
-    #: (the gateway worker passes its distributed trace id through here)
-    trace_tags: dict = field(default_factory=dict, repr=False)
 
     @property
     def wait_seconds(self) -> float:

@@ -1,10 +1,10 @@
-"""Worker pool and retry/backoff machinery.
+"""The mining job core, the worker pool and retry/backoff machinery.
 
-Workers are plain threads draining the :class:`~repro.service.queue.
-JobQueue`; the execution callback (owned by the service facade) does the
-actual mining.  Retrying lives here: LLM backends fail transiently —
-timeouts, 429s, connection resets, modelled by
-:class:`repro.llm.faults.TransientLLMError` — and a grid run must
+:func:`run_job` is the one job core: the service's pool threads (plain
+threads draining the :class:`~repro.service.queue.JobQueue`) and each
+gateway worker process's main thread run it.  Retrying lives here: LLM
+backends fail transiently — timeouts, 429s, connection resets, modelled
+by :class:`repro.llm.faults.TransientLLMError` — and a grid run must
 degrade to a delayed cell, not a dead process.  Each attempt gets
 exponentially more breathing room, and a cooperative per-job timeout
 bounds how long a cell may churn before it is declared FAILED.
@@ -22,6 +22,10 @@ from typing import Callable, Optional
 
 from repro import obs
 from repro.llm.faults import TransientLLMError
+from repro.mining.result import MiningRun
+from repro.mining.runner import PipelineCache
+from repro.service.cache import ResultCache
+from repro.service.jobs import Job, JobState
 from repro.service.queue import JobQueue, QueueClosed
 
 
@@ -96,6 +100,71 @@ def call_with_retry(
             if on_retry is not None:
                 on_retry(attempts, pause, error)
             sleep(pause)
+
+
+def run_job(
+    job: Job,
+    pipelines: PipelineCache,
+    policy: RetryPolicy,
+    cache: ResultCache | None = None,
+    sleep: Callable[[float], None] = time.sleep,
+    clock: Callable[[], float] = time.monotonic,
+) -> None:
+    """Mine one RUNNING job to DONE (result stored in ``cache``) or FAILED.
+
+    The caller moves the job to RUNNING (setting ``started_at``) and
+    signals ``job.done`` afterwards; job-scoped errors end up in
+    ``job.error``, never raised.
+    """
+    spec = job.spec
+    obs.observe("service.job_wait_seconds", job.wait_seconds)
+
+    def attempt() -> MiningRun:
+        job.attempts += 1
+        with obs.span(
+            "service.attempt",
+            job_id=job.job_id[:12], attempt=job.attempts,
+        ):
+            pipeline = pipelines.pipeline(
+                spec.dataset, spec.method,
+                window_size=spec.window_size, overlap=spec.overlap,
+                rag_chunk_tokens=spec.rag_chunk_tokens,
+                rag_top_k=spec.rag_top_k, base_seed=spec.base_seed,
+            )
+            return pipeline.mine(spec.model, spec.prompt_mode)
+
+    def on_retry(attempts: int, pause: float, error: BaseException) -> None:
+        job.retries += 1
+        obs.inc("service.retries")
+        obs.observe("service.retry_backoff_seconds", pause)
+
+    try:
+        with obs.span(
+            "service.job",
+            job_id=job.job_id[:12],
+            dataset=spec.dataset, model=spec.model,
+            method=spec.method, prompt_mode=spec.prompt_mode,
+        ) as sp:
+            run = call_with_retry(
+                attempt, policy, sleep=sleep, clock=clock, on_retry=on_retry,
+            )
+            sp.set_attribute("attempts", job.attempts)
+            sp.set_attribute("rules", run.rule_count)
+        if cache is not None:
+            cache.put(
+                job.job_id, run,
+                meta={"cell": list(spec.cell()), "attempts": job.attempts},
+            )
+        job.result = run
+        job.state = JobState.DONE
+        obs.inc("service.jobs_completed", cache_hit=False)
+    except Exception as error:
+        job.error = f"{type(error).__name__}: {error}"
+        job.state = JobState.FAILED
+        obs.inc("service.jobs_failed", error=type(error).__name__)
+    finally:
+        job.finished_at = clock()
+        obs.observe("service.job_seconds", job.run_seconds)
 
 
 class WorkerPool:

@@ -9,7 +9,15 @@ import pytest
 from repro.experiments import figures, metric_tables, table1, table5, table6
 from repro.experiments.cli import emit, main
 from repro.experiments.report import Table, fmt_float, fmt_int
-from repro.mining.runner import ExperimentRunner
+from repro.mining.persistence import run_to_dict
+from repro.mining.pipeline import PipelineContext
+from repro.mining.runner import (
+    METHODS,
+    ExperimentRunner,
+    PipelineCache,
+    build_pipeline,
+)
+from tests.test_service_e2e import build_dataset
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +96,43 @@ class TestRunnerCaching:
     def test_unknown_method_rejected(self, runner):
         with pytest.raises(ValueError):
             runner.pipeline("cybersecurity", "quantum")
+
+
+class TestPipelineCache:
+    KNOBS = dict(
+        window_size=300, overlap=30, rag_chunk_tokens=64, rag_top_k=4,
+    )
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_seeds_share_one_warmed_pipeline(self, method):
+        dataset = build_dataset("tiny")
+        cache = PipelineCache(loader=lambda name: dataset)
+        seeded = {
+            seed: cache.pipeline("tiny", method, base_seed=seed, **self.KNOBS)
+            for seed in (3, 7)
+        }
+        warmed = "window_set" if method == "sliding_window" else "retriever"
+        assert getattr(seeded[3], warmed) is getattr(seeded[7], warmed)
+        assert seeded[3].context is seeded[7].context
+        context = PipelineContext.build(dataset)
+        runs = {}
+        for seed, pipeline in seeded.items():
+            assert pipeline.base_seed == seed
+            runs[seed] = run_to_dict(pipeline.mine("llama3", "zero_shot"))
+            fresh = build_pipeline(
+                context, method, base_seed=seed, **self.KNOBS
+            )
+            assert runs[seed] == run_to_dict(fresh.mine("llama3", "zero_shot"))
+        assert runs[3] != runs[7]
+
+    def test_forget_drops_only_that_dataset(self):
+        datasets = {name: build_dataset(name) for name in ("a", "b")}
+        cache = PipelineCache(loader=datasets.__getitem__)
+        a, b = (cache.pipeline(name, "rag") for name in ("a", "b"))
+        cache.forget("A")
+        assert cache.pipeline("b", "rag").retriever is b.retriever
+        assert cache.pipeline("a", "rag").retriever is not a.retriever
+        assert cache.context("a") is not a.context
 
 
 class TestFigures:

@@ -6,8 +6,9 @@ a small grid slice through :class:`repro.gateway.GatewayClient`, and
 verifies the serving contract end to end:
 
 1. every served run is **byte-identical** to mining the same cell with
-   an in-process :class:`repro.service.MiningService` (and the HTTP job
-   ids equal the in-process content addresses);
+   an in-process :class:`repro.service.MiningService`, the HTTP job ids
+   equal the in-process content addresses, and every worker recomputed
+   the same address (``gateway.fingerprint_mismatches`` stays 0);
 2. re-submitting the slice against a *fresh gateway process* on the
    same cache directory answers entirely from the worker-written cache
    (cross-process cache hits);
@@ -53,6 +54,15 @@ CELLS = (
 def fail(message: str) -> int:
     print(f"FAIL: {message}", file=sys.stderr)
     return 1
+
+
+def fingerprint_mismatches(collector: obs.TraceCollector) -> int:
+    """Jobs whose worker-computed content address differed from the
+    gateway's: non-zero means the fleet disagrees on a graph or code
+    fingerprint."""
+    return int(
+        collector.metrics.counter("gateway.fingerprint_mismatches").total()
+    )
 
 
 def check_fleet_trace(payload: dict) -> str | None:
@@ -140,6 +150,15 @@ def main(argv: list[str] | None = None) -> int:
         for model, method in CELLS:
             job = client.submit(args.dataset, model, method, "zero_shot")
             job_ids[(model, method)] = str(job["job_id"])
+        for job_id in job_ids.values():
+            client.wait(job_id, timeout=600)
+        # checked before any result fetch: a worker that stored a run
+        # under a different content address leaves nothing to fetch
+        if fingerprint_mismatches(collector):
+            return fail(
+                f"{fingerprint_mismatches(collector)} worker content "
+                "address(es) differ from the gateway's"
+            )
         for (model, method), job_id in job_ids.items():
             payload = client.result(job_id, timeout=600)
             served[job_id] = json.dumps(payload["run"], sort_keys=True)
@@ -240,6 +259,11 @@ def main(argv: list[str] | None = None) -> int:
         metrics_text = client.metrics_text()
     if shed != 1:
         return fail(f"expected 1 rate_limit shed, saw {shed}")
+    if fingerprint_mismatches(collector):
+        return fail(
+            "worker-side cache hit under serve_from_cache=False computed "
+            "a different content address than the gateway"
+        )
     if dispatched > 1 or executed > 1:
         return fail(
             f"shed work reached the fleet (dispatched={dispatched}, "
