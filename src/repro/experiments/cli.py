@@ -13,8 +13,8 @@ Usage::
     repro-experiments table5 --obs  # plus observability summary
     repro-experiments table5 --trace-out trace.jsonl
 
-    # run a grid slice through the job service (workers + disk cache)
-    repro-experiments serve --jobs 4 --cache-dir ~/.repro-cache
+    # mine a grid slice in-process, one cell at a time (+ disk cache)
+    repro-experiments serve --cache-dir ~/.repro-cache
     repro-experiments serve --datasets wwc2019 --methods rag --obs
     repro-experiments serve --telemetry-port 9100   # live /metrics
 
@@ -195,8 +195,8 @@ def serve_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments serve",
         description=(
-            "Mine a grid slice through the in-process job service "
-            "(worker pool, retry/backoff, on-disk result cache keyed "
+            "Mine a grid slice through the in-process job service, one "
+            "cell at a time (retry/backoff, on-disk result cache keyed "
             "by graph + code + config) — or, with --port, serve mining "
             "over HTTP through the multi-process gateway front door."
         ),
@@ -216,10 +216,6 @@ def serve_main(argv: list[str]) -> int:
     parser.add_argument(
         "--prompts", nargs="+", choices=PROMPT_MODES, default=None,
         help="prompt modes (default: both)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
-        help="worker threads executing jobs (default 2)",
     )
     parser.add_argument(
         "--cache-dir", metavar="PATH", default=None,
@@ -323,19 +319,18 @@ def serve_main(argv: list[str]) -> int:
     try:
         service = MiningService(
             cache_dir=args.cache_dir,
-            workers=args.jobs,
             retry_policy=RetryPolicy(max_retries=args.max_retries),
             base_seed=args.seed,
         )
         if args.telemetry_port is not None:
             telemetry = obs.TelemetryServer(
                 registry=collector.metrics,
-                jobs=service.telemetry,
+                jobs=service.stats,
                 port=args.telemetry_port,
             ).start()
             print(f"telemetry: {telemetry.url} "
                   f"(/metrics /healthz /jobs)")
-        with service, obs.span("serve.grid", jobs=args.jobs):
+        with service, obs.span("serve.grid"):
             job_ids = service.submit_grid(
                 datasets=args.datasets, models=args.models,
                 methods=args.methods, prompt_modes=args.prompts,
@@ -363,8 +358,7 @@ def serve_main(argv: list[str]) -> int:
             f"service: {stats['submitted']} jobs "
             f"({stats['jobs']['done']} done, {stats['jobs']['failed']} "
             f"failed), {stats['cache_hits']} cache hits, "
-            f"{stats['retries']} retries, "
-            f"max queue depth {stats['queue_max_depth']}"
+            f"{stats['retries']} retries"
         )
         if cache is not None:
             print(

@@ -443,13 +443,27 @@ class Dispatcher:
                 self._on_worker_exit(handle, generation)
 
     def _resolve(self, job: GatewayJob, event: dict) -> None:
-        ok = bool(event.get("ok"))
+        mined = bool(event.get("ok"))
         job.cache_hit = bool(event.get("cache_hit"))
         job.attempts = int(event.get("attempts") or 0)
         job.retries = int(event.get("retries") or 0)
         job.rules = int(event.get("rules") or 0)
         job.computed_id = str(event.get("computed_id") or "")
         job.finished_at = time.monotonic()
+        error = None if mined else str(event.get("error") or "worker failure")
+        if job.computed_id and job.computed_id != job.job_id:
+            # the worker's content address disagrees with the gateway's:
+            # its run landed under a different cache key (e.g. the graph
+            # snapshot did not round-trip byte-stable), so nothing is
+            # stored under this job's id and the job cannot be served
+            obs.inc("gateway.fingerprint_mismatches")
+            if mined:
+                error = (
+                    f"content address mismatch: worker computed "
+                    f"{job.computed_id[:12]}, gateway expected "
+                    f"{job.job_id[:12]}"
+                )
+        ok = error is None
         if ok:
             job.state = GatewayJobState.DONE
             job.source = "worker-cache" if job.cache_hit else "worker"
@@ -457,22 +471,17 @@ class Dispatcher:
                 self.jobs_completed += 1
         else:
             job.state = GatewayJobState.FAILED
-            job.error = str(event.get("error") or "worker failure")
+            job.error = error
             job.source = "worker"
             with self._cv:
                 self.jobs_failed += 1
-        if job.computed_id and job.computed_id != job.job_id:
-            # the worker's content address disagrees with the gateway's:
-            # results landed under a different cache key (e.g. graph
-            # snapshot did not round-trip byte-stable)
-            obs.inc("gateway.fingerprint_mismatches")
         obs.inc(
             "gateway.jobs_completed",
             ok=ok, cache_hit=job.cache_hit,
         )
         if job.cache_hit:
             obs.inc("gateway.cache.hits", source="worker")
-        elif ok:
+        elif mined:
             obs.inc("gateway.cache.misses", source="worker")
         if job.started_at is not None:
             obs.observe(

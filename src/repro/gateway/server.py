@@ -12,7 +12,8 @@ process:
   :class:`~repro.service.MiningService` uses, so an HTTP submission of
   a cell and an in-process ``mine()`` of the same cell share one id and
   one shared-cache entry (workers recompute it from the snapshot they
-  load; ``gateway.fingerprint_mismatches`` counts disagreements);
+  load; a disagreement fails the job and counts in
+  ``gateway.fingerprint_mismatches``);
 * **dataset snapshots** — each served dataset is materialised once to
   ``<cache_dir>/.snapshots/<name>.json`` (see
   :mod:`repro.datasets.snapshot`); workers load the snapshot instead of

@@ -2,13 +2,12 @@
 
 :class:`~repro.obs.trace.TraceCollector` keeps one span stack per
 thread, so a span opened on a worker thread becomes an *orphan root*
-even when, logically, it belongs to work started elsewhere — a mining
-job submitted on the client thread and executed by the pool, or a
-window prompted on a parallel-pipeline replica thread.
+even when, logically, it belongs to work started elsewhere — a window
+prompted on a parallel-pipeline replica thread.
 
 :func:`capture` snapshots the calling thread's current span; the
-returned :class:`TraceContext` travels with the unit of work (a queue
-item, a thread argument) and :meth:`TraceContext.attach` re-establishes
+returned :class:`TraceContext` travels with the unit of work (a thread
+argument) and :meth:`TraceContext.attach` re-establishes
 the captured span as the parent on the executing thread::
 
     ctx = propagate.capture()            # producer thread
@@ -20,7 +19,7 @@ the captured span as the parent on the executing thread::
 
 Everything degrades to a no-op when no collector is installed (or when
 the collector changed between capture and attach), so propagation can
-stay default-on in the service and pipeline hot paths.
+stay default-on in the pipeline hot paths.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ expects, with a JSON health probe and a job-service snapshot besides::
 
     server = TelemetryServer(
         registry=lambda: collector.metrics,
-        jobs=service.telemetry,          # injected; obs stays layered
+        jobs=service.stats,              # injected; obs stays layered
     )
     with server:
         print(server.url)               # http://127.0.0.1:<port>

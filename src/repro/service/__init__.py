@@ -1,9 +1,10 @@
 """repro.service — in-process mining job service.
 
-The experiment grid as schedulable work: content-addressed jobs, a
-bounded priority queue with backpressure, a worker pool running the job
-core :func:`run_job` (retry/backoff around the LLM pipelines; gateway
-workers call it directly), and an on-disk result cache layered on
+The experiment grid as content-addressed jobs: :class:`MiningService`
+records submissions in a job table and mines each one with the job core
+:func:`run_job` (retry/backoff around the LLM pipelines) on the thread
+that asks for its result; gateway workers call :func:`run_job`
+directly.  Finished runs land in an on-disk result cache layered on
 :mod:`repro.mining.persistence`.
 """
 
@@ -22,12 +23,10 @@ from repro.service.jobs import (
     code_fingerprint,
     graph_fingerprint,
 )
-from repro.service.queue import JobQueue, QueueClosed, QueueFull
 from repro.service.workers import (
     JobTimeoutError,
     RetriesExhaustedError,
     RetryPolicy,
-    WorkerPool,
     call_with_retry,
     run_job,
 )
@@ -36,19 +35,15 @@ __all__ = [
     "CacheStats",
     "Job",
     "JobFailedError",
-    "JobQueue",
     "JobSpec",
     "JobState",
     "JobTimeoutError",
     "MiningService",
-    "QueueClosed",
-    "QueueFull",
     "ResultCache",
     "RetriesExhaustedError",
     "RetryPolicy",
     "ServiceDraining",
     "UnknownJobError",
-    "WorkerPool",
     "cache_key",
     "call_with_retry",
     "code_fingerprint",

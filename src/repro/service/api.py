@@ -1,10 +1,11 @@
 """Client facade: the in-process mining job service.
 
-:class:`MiningService` turns the experiment grid into schedulable work::
+:class:`MiningService` turns the experiment grid into content-addressed
+jobs and runs each one on the thread that asks for its result::
 
-    with MiningService(cache_dir="~/.repro-cache", workers=4) as service:
+    with MiningService(cache_dir="~/.repro-cache") as service:
         job_id = service.submit("wwc2019", "llama3", "rag", "zero_shot")
-        run = service.result(job_id)        # blocks until DONE
+        run = service.result(job_id)        # mines here, on this thread
         print(service.stats()["cache"])     # hit rate, stores, ...
 
 Submission is idempotent: a job's id is the content address of its
@@ -12,10 +13,12 @@ Submission is idempotent: a job's id is the content address of its
 the same id and at most one mining run.  Results persist in the on-disk
 :class:`~repro.service.cache.ResultCache`, so a fresh process re-serving
 an already-mined cell answers from cache without touching a pipeline.
-Transient LLM failures are retried with exponential backoff per the
-:class:`~repro.service.workers.RetryPolicy`; everything is instrumented
-through :mod:`repro.obs` (queue depth, cache hit/miss, retries, job
-latency histograms).
+Mining itself is :func:`~repro.service.workers.run_job`, the same job
+core each gateway worker process runs: transient LLM failures are
+retried with exponential backoff per the
+:class:`~repro.service.workers.RetryPolicy`, and everything is
+instrumented through :mod:`repro.obs`.  The service starts no thread;
+parallel mining is the gateway fleet's job (``serve --port --workers N``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 from repro import obs
 from repro.datasets.base import Dataset
@@ -34,8 +37,7 @@ from repro.mining.result import MiningRun
 from repro.mining.runner import METHODS, PipelineCache
 from repro.service.cache import ResultCache
 from repro.service.jobs import Job, JobSpec, JobState, cache_key, graph_fingerprint
-from repro.service.queue import JobQueue, QueueFull
-from repro.service.workers import RetryPolicy, WorkerPool, run_job
+from repro.service.workers import RetryPolicy, run_job
 
 __all__ = [
     "JobFailedError",
@@ -66,13 +68,11 @@ class JobFailedError(RuntimeError):
 
 
 class MiningService:
-    """Scheduler + worker pool + content-addressed result cache."""
+    """Job table + content-addressed result cache over :func:`run_job`."""
 
     def __init__(
         self,
         cache_dir: str | Path | None = None,
-        workers: int = 2,
-        queue_depth: int = 64,
         retry_policy: RetryPolicy | None = None,
         loader: Callable[[str], Dataset] | None = None,
         base_seed: int = 0,
@@ -96,26 +96,16 @@ class MiningService:
         self.cache = (
             ResultCache(cache_dir) if cache_dir is not None else None
         )
-        self.queue = JobQueue(maxsize=queue_depth)
-        self.pool = WorkerPool(self.queue, self._execute, workers=workers)
-        self._jobs: dict[str, Job] = {}
+        self._jobs: dict[str, Job] = {}      # insertion order = submit order
         self._pipelines = PipelineCache(self.loader, llm_middleware)
         self._fingerprints: dict[str, str] = {}
         self._lock = threading.Lock()         # job table + state moves
         self._fingerprint_lock = threading.Lock()
-        self._started = False
         self._draining = False
-        self._running = 0                     # jobs currently executing
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> "MiningService":
-        if not self._started:
-            self._started = True
-            self.pool.start()
-        return self
-
     @property
     def draining(self) -> bool:
         """True once shutdown started; submissions are refused."""
@@ -123,28 +113,34 @@ class MiningService:
             return self._draining
 
     def shutdown(self, wait: bool = True, timeout: float | None = None) -> bool:
-        """Graceful drain: refuse new jobs, let in-flight work finish.
+        """Graceful drain: refuse new jobs, then run the queued ones.
 
         New :meth:`submit` calls raise :class:`ServiceDraining` from the
-        moment this is called; already-queued jobs are still executed.
-        With ``wait`` the call blocks until the workers exit or the
-        ``timeout`` deadline passes.  Returns True when every worker
-        exited within the deadline (an unbounded or un-waited shutdown
-        reports whether workers are already gone).
+        moment this is called.  With ``wait`` the jobs still QUEUED run
+        here, on the caller's thread, in submit order; once ``timeout``
+        seconds have passed on the service clock no further job starts.
+        Returns True when no job is left QUEUED.
         """
         with self._lock:
             self._draining = True
-        self.queue.close()
-        if wait and self._started:
-            self.pool.join(timeout=timeout)
-        return self.pool.alive == 0
+            queued = self._queued()
+        if wait:
+            deadline = (
+                self._clock() + timeout if timeout is not None else None
+            )
+            for job in queued:
+                if deadline is not None and self._clock() >= deadline:
+                    break
+                self._run(job)
+        with self._lock:
+            return not self._queued()
 
     def drain(self, deadline_seconds: float | None = None) -> bool:
         """SIGTERM-style drain: alias of a waited :meth:`shutdown`."""
         return self.shutdown(wait=True, timeout=deadline_seconds)
 
     def __enter__(self) -> "MiningService":
-        return self.start()
+        return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown(wait=exc_type is None)
@@ -196,58 +192,40 @@ class MiningService:
         model: str,
         method: str,
         prompt_mode: str,
-        priority: int = 0,
-        block: bool = True,
-        timeout: Optional[float] = None,
         **overrides: object,
     ) -> str:
-        """Submit one grid cell; returns its content-addressed job id.
+        """Record one grid cell; returns its content-addressed job id.
 
         Re-submitting an identical cell returns the existing job's id
-        without queueing new work; a cell already present in the on-disk
-        cache completes immediately as a DONE cache-hit job.  When the
-        queue is at capacity the call blocks (``block``/``timeout``
-        control backpressure behaviour; :class:`QueueFull` on refusal).
+        without new work; a cell already present in the on-disk cache
+        completes immediately as a DONE cache-hit job.  Otherwise the
+        job waits QUEUED until :meth:`result` (or a waited
+        :meth:`shutdown`) mines it.
         """
         if self.draining:
             raise ServiceDraining(
                 "service is draining; new submissions are refused"
             )
-        self.start()
         spec = self._spec(dataset, model, method, prompt_mode, **overrides)
         job_id = cache_key(spec, self._graph_fingerprint(spec.dataset))
+        # find-or-insert and the cache lookup share one lock hold: a
+        # concurrent submit of the same cell finds the finished entry
+        # and neither reads the cache again nor queues a second job
         with self._lock:
-            existing = self._jobs.get(job_id)
-            if existing is not None:
+            if job_id in self._jobs:
                 return job_id
-        job = Job(
-            spec=spec, job_id=job_id, priority=priority,
-            submitted_at=self._clock(),
-            # snapshot the caller's tracing position: the worker thread
-            # attaches it so the job's spans join the submitter's tree
-            trace_ctx=obs.capture(),
-        )
-        cached = self.cache.get(job_id) if self.cache is not None else None
-        if cached is not None:
-            job.result = cached
-            job.cache_hit = True
-            job.state = JobState.DONE
-            job.finished_at = job.submitted_at
-            job.done.set()
-            with self._lock:
-                self._jobs[job_id] = job
-            obs.inc("service.jobs_submitted")
-            obs.inc("service.jobs_completed", cache_hit=True)
-            return job_id
-        with self._lock:
+            job = Job(spec=spec, job_id=job_id, submitted_at=self._clock())
+            cached = self.cache.get(job_id) if self.cache is not None else None
+            if cached is not None:
+                job.result = cached
+                job.cache_hit = True
+                job.state = JobState.DONE
+                job.finished_at = job.submitted_at
+                job.done.set()
             self._jobs[job_id] = job
-        try:
-            self.queue.put(job, priority=priority, block=block, timeout=timeout)
-        except QueueFull:
-            with self._lock:
-                self._jobs.pop(job_id, None)
-            raise
         obs.inc("service.jobs_submitted")
+        if job.cache_hit:
+            obs.inc("service.jobs_completed", cache_hit=True)
         return job_id
 
     def submit_grid(
@@ -256,7 +234,6 @@ class MiningService:
         models: tuple[str, ...] | list[str] | None = None,
         methods: tuple[str, ...] | list[str] | None = None,
         prompt_modes: tuple[str, ...] | list[str] | None = None,
-        priority: int = 0,
     ) -> list[str]:
         """Submit a grid slice; returns job ids in submission order."""
         ids = []
@@ -266,7 +243,6 @@ class MiningService:
                     for model in models or MODEL_NAMES:
                         ids.append(self.submit(
                             dataset, model, method, prompt_mode,
-                            priority=priority,
                         ))
         return ids
 
@@ -281,13 +257,12 @@ class MiningService:
         """A plain-dict snapshot of one job's lifecycle."""
         return self._job(job_id).snapshot()
 
-    def result(self, job_id: str, timeout: Optional[float] = None) -> MiningRun:
-        """Block until the job finishes; return its MiningRun."""
+    def result(self, job_id: str) -> MiningRun:
+        """Mine a QUEUED job on this thread, or wait for the thread that
+        is mining it; return its MiningRun."""
         job = self._job(job_id)
-        if not job.done.wait(timeout=timeout):
-            raise TimeoutError(
-                f"job {job_id[:12]} still {job.state.value} after {timeout}s"
-            )
+        self._run(job)
+        job.done.wait()
         if job.state is not JobState.DONE:
             raise JobFailedError(job)
         return job.result
@@ -305,7 +280,7 @@ class MiningService:
         return True
 
     def stats(self) -> dict[str, object]:
-        """Service-level accounting for dashboards and the CLI."""
+        """Service-level accounting: the CLI summary and ``/jobs``."""
         with self._lock:
             jobs = list(self._jobs.values())
         by_state: dict[str, int] = {state.value: 0 for state in JobState}
@@ -318,9 +293,6 @@ class MiningService:
             "cache_hits": sum(1 for job in jobs if job.cache_hit),
             "retries": sum(job.retries for job in jobs),
             "attempts": sum(job.attempts for job in jobs),
-            "queue_depth": self.queue.depth,
-            "queue_max_depth": self.queue.max_depth_seen,
-            "workers": self.pool.alive,
             "cache": (
                 {
                     "hits": cache_stats.hits,
@@ -333,61 +305,34 @@ class MiningService:
             ),
         }
 
-    def telemetry(self) -> dict[str, object]:
-        """The live ``/jobs`` payload: queue depth, per-state job
-        counts and worker utilization (see :mod:`repro.obs.server`)."""
-        with self._lock:
-            jobs = list(self._jobs.values())
-            running = self._running
-        by_state: dict[str, int] = {state.value: 0 for state in JobState}
-        for job in jobs:
-            by_state[job.state.value] += 1
-        workers = self.pool.worker_count
-        return {
-            "queue": {
-                "depth": self.queue.depth,
-                "max_depth_seen": self.queue.max_depth_seen,
-                "capacity": self.queue.maxsize,
-                "closed": self.queue.closed,
-            },
-            "jobs": by_state,
-            "submitted": len(jobs),
-            "workers": {
-                "total": workers,
-                "alive": self.pool.alive,
-                "busy": running,
-                "utilization": running / workers if workers else 0.0,
-            },
-        }
-
     def mine(
         self, dataset: str, model: str, method: str, prompt_mode: str,
-        timeout: Optional[float] = None, **overrides: object,
+        **overrides: object,
     ) -> MiningRun:
-        """Submit-and-wait convenience for synchronous callers."""
+        """Submit-and-mine convenience for synchronous callers."""
         job_id = self.submit(dataset, model, method, prompt_mode, **overrides)
-        return self.result(job_id, timeout=timeout)
+        return self.result(job_id)
 
     # ------------------------------------------------------------------
-    # worker side
+    # execution
     # ------------------------------------------------------------------
-    def _execute(self, job: Job) -> None:
+    def _queued(self) -> list[Job]:
+        return [
+            job for job in self._jobs.values()
+            if job.state is JobState.QUEUED
+        ]
+
+    def _run(self, job: Job) -> None:
+        """Mine ``job`` here if it is still QUEUED; otherwise a no-op."""
         with self._lock:
             if job.state is not JobState.QUEUED:
-                return  # cancelled while waiting in the heap
+                return  # done, cancelled, or mining on another thread
             job.state = JobState.RUNNING
             job.started_at = self._clock()
-            self._running += 1
-        context = job.trace_ctx if job.trace_ctx is not None else (
-            obs.EMPTY_CONTEXT
-        )
         try:
-            with context.attach():
-                run_job(
-                    job, self._pipelines, self.retry_policy, self.cache,
-                    sleep=self._sleep, clock=self._clock,
-                )
+            run_job(
+                job, self._pipelines, self.retry_policy, self.cache,
+                sleep=self._sleep, clock=self._clock,
+            )
         finally:
-            with self._lock:
-                self._running -= 1
             job.done.set()

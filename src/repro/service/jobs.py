@@ -185,7 +185,6 @@ class Job:
 
     spec: JobSpec
     job_id: str                      # == the result-cache content address
-    priority: int = 0
     state: JobState = JobState.QUEUED
     attempts: int = 0                # mining attempts actually started
     retries: int = 0                 # attempts beyond the first
@@ -196,21 +195,17 @@ class Job:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     done: threading.Event = field(default_factory=threading.Event, repr=False)
-    #: the submitter's :class:`repro.obs.TraceContext`, captured at
-    #: submit time so the worker thread re-parents the job's spans under
-    #: the client's span tree instead of growing an orphan root
-    trace_ctx: object = field(default=None, repr=False)
 
     @property
     def wait_seconds(self) -> float:
-        """Queue wait: submission to first execution (0 for cache hits)."""
+        """Submission to the start of mining (0 for cache hits)."""
         if self.started_at is None:
             return 0.0
         return self.started_at - self.submitted_at
 
     @property
     def run_seconds(self) -> float:
-        """Execution wall time, excluding queue wait."""
+        """Mining wall time, excluding the wait before it."""
         if self.started_at is None or self.finished_at is None:
             return 0.0
         return self.finished_at - self.started_at
@@ -221,7 +216,6 @@ class Job:
             "job_id": self.job_id,
             "cell": self.spec.cell(),
             "state": self.state.value,
-            "priority": self.priority,
             "attempts": self.attempts,
             "retries": self.retries,
             "cache_hit": self.cache_hit,

@@ -1,10 +1,13 @@
-"""The mining job core, the worker pool and retry/backoff machinery.
+"""The mining job core and its retry/backoff machinery.
 
-:func:`run_job` is the one job core: the service's pool threads (plain
-threads draining the :class:`~repro.service.queue.JobQueue`) and each
-gateway worker process's main thread run it.  Retrying lives here: LLM
-backends fail transiently — timeouts, 429s, connection resets, modelled
-by :class:`repro.llm.faults.TransientLLMError` — and a grid run must
+:func:`run_job` is the one job core.  It runs on the caller's thread in
+both of its users: :meth:`repro.service.MiningService.result` and each
+gateway worker process's main loop; no thread or queue sits between a
+job and the thread that mines it.
+
+Retrying lives here: LLM backends fail transiently — timeouts, 429s,
+connection resets, modelled by
+:class:`repro.llm.faults.TransientLLMError` — and a grid run must
 degrade to a delayed cell, not a dead process.  Each attempt gets
 exponentially more breathing room, and a cooperative per-job timeout
 bounds how long a cell may churn before it is declared FAILED.
@@ -15,7 +18,6 @@ backoff schedules deterministically in zero wall time.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -26,7 +28,6 @@ from repro.mining.result import MiningRun
 from repro.mining.runner import PipelineCache
 from repro.service.cache import ResultCache
 from repro.service.jobs import Job, JobState
-from repro.service.queue import JobQueue, QueueClosed
 
 
 class RetriesExhaustedError(RuntimeError):
@@ -165,68 +166,3 @@ def run_job(
     finally:
         job.finished_at = clock()
         obs.observe("service.job_seconds", job.run_seconds)
-
-
-class WorkerPool:
-    """N daemon threads draining a queue through one execution callback."""
-
-    def __init__(
-        self,
-        queue: JobQueue,
-        execute: Callable[[object], None],
-        workers: int = 2,
-        name: str = "miner",
-    ) -> None:
-        if workers <= 0:
-            raise ValueError("workers must be positive")
-        self.queue = queue
-        self.execute = execute
-        self.worker_count = workers
-        self.name = name
-        self._threads: list[threading.Thread] = []
-        self._started = False
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        for index in range(self.worker_count):
-            thread = threading.Thread(
-                target=self._loop,
-                name=f"{self.name}-{index}",
-                daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
-
-    def _loop(self) -> None:
-        while True:
-            try:
-                job = self.queue.get()
-            except QueueClosed:
-                return
-            # the execute callback owns all job-level error handling; a
-            # worker thread must survive anything a job throws at it
-            try:
-                self.execute(job)
-            except Exception as error:  # pragma: no cover - defensive
-                obs.inc(
-                    "service.worker_crashes",
-                    exc_type=type(error).__name__,
-                )
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        """Wait for the workers to exit (call after queue.close())."""
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        for thread in self._threads:
-            remaining = None
-            if deadline is not None:
-                remaining = max(0.0, deadline - time.monotonic())
-            thread.join(remaining)
-
-    @property
-    def alive(self) -> int:
-        return sum(1 for thread in self._threads if thread.is_alive())

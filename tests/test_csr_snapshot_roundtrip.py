@@ -50,12 +50,12 @@ def tiny_dataset(name: str = "tiny") -> Dataset:
 
 def mine_once(dataset: Dataset) -> dict:
     """One deterministic simulated mining run, canonically serialised."""
-    service = MiningService(workers=1, loader=lambda name: dataset)
+    service = MiningService(loader=lambda name: dataset)
     try:
         job = service.submit(
             dataset.graph.name, "llama3", "rag", "zero_shot"
         )
-        run = service.result(job, timeout=120)
+        run = service.result(job)
     finally:
         service.shutdown(wait=True)
     return {
@@ -134,11 +134,11 @@ class TestSubprocessRoundTrip:
             "dataset = load_dataset(sys.argv[1])\n"
             "snapshot = dataset.graph.columnar()\n"
             "assert snapshot.origin == 'artifact', snapshot.origin\n"
-            "service = MiningService(workers=1, loader=lambda n: dataset)\n"
+            "service = MiningService(loader=lambda n: dataset)\n"
             "try:\n"
             "    job = service.submit(\n"
             "        dataset.graph.name, 'llama3', 'rag', 'zero_shot')\n"
-            "    run = service.result(job, timeout=120)\n"
+            "    run = service.result(job)\n"
             "finally:\n"
             "    service.shutdown(wait=True)\n"
             "print(json.dumps({\n"

@@ -1,7 +1,7 @@
 """Unit tests for the gateway building blocks: token buckets, the
 admission controller, the wire protocol, dataset snapshots, the
-hardened cross-process cache and service drain — everything below the
-subprocess fleet (which test_gateway_e2e covers)."""
+hardened cross-process cache, job resolution and service drain —
+everything below the subprocess fleet (which test_gateway_e2e covers)."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from repro.datasets.snapshot import (
     load_dataset,
     save_dataset,
 )
-from repro.gateway import protocol
+from repro.gateway import Gateway, GatewayJobFailed, protocol
 from repro.gateway.admission import (
     AdmissionController,
     AdmissionPolicy,
@@ -329,7 +329,7 @@ class TestSnapshots:
 class TestCacheHardening:
     def mined_run(self):
         svc = MiningService(
-            loader=lambda name: tiny_dataset(name), workers=1,
+            loader=lambda name: tiny_dataset(name),
             retry_policy=RetryPolicy(max_retries=0, base_delay=0.0),
         )
         with svc:
@@ -413,7 +413,7 @@ class TestCacheHardening:
 class TestCacheLRU:
     def mined_run(self):
         svc = MiningService(
-            loader=lambda name: tiny_dataset(name), workers=1,
+            loader=lambda name: tiny_dataset(name),
             retry_policy=RetryPolicy(max_retries=0, base_delay=0.0),
         )
         with svc:
@@ -493,15 +493,51 @@ class TestCacheLRU:
 
 
 # ----------------------------------------------------------------------
+# resolving a worker's "done" event
+# ----------------------------------------------------------------------
+class TestResolve:
+    def test_content_address_mismatch_fails_the_job(self, tmp_path):
+        collector = obs.install()
+        # never started: no worker process, the job stays in the backlog
+        # until the test resolves it with a hand-built worker event
+        gw = Gateway(
+            cache_dir=tmp_path, workers=1,
+            loader=lambda name: tiny_dataset(name),
+        )
+        job = gw.submit({
+            "dataset": "tiny", "model": "llama3",
+            "method": "sliding_window", "prompt_mode": "zero_shot",
+        })
+        foreign = "f" * 64
+        gw.dispatcher._resolve(job, {
+            "event": "done", "ok": True, "cache_hit": False,
+            "attempts": 1, "retries": 0, "rules": 3,
+            "computed_id": foreign,
+        })
+        status = gw.status(job.job_id)
+        assert status["state"] == "failed"
+        assert foreign[:12] in status["error"]
+        assert job.job_id[:12] in status["error"]
+        with pytest.raises(GatewayJobFailed, match="content address mismatch"):
+            gw.result(job.job_id, timeout=5)
+        stats = gw.dispatcher.stats()
+        assert stats["failed"] == 1
+        assert stats["completed"] == 0
+        mismatches = collector.metrics.counter(
+            "gateway.fingerprint_mismatches"
+        )
+        assert mismatches.total() == 1
+
+
+# ----------------------------------------------------------------------
 # graceful drain of the in-process service
 # ----------------------------------------------------------------------
 class TestServiceDrain:
     def test_drain_refuses_new_work_but_finishes_queued(self):
         svc = MiningService(
-            loader=lambda name: tiny_dataset(name), workers=1,
+            loader=lambda name: tiny_dataset(name),
             retry_policy=RetryPolicy(max_retries=0, base_delay=0.0),
         )
-        svc.start()
         job_id = svc.submit("tiny", "llama3", "sliding_window", "zero_shot")
         assert svc.drain(deadline_seconds=60) is True
         assert svc.draining is True
@@ -511,9 +547,6 @@ class TestServiceDrain:
         assert svc.status(job_id)["state"] == "done"
 
     def test_shutdown_is_idempotent(self):
-        svc = MiningService(
-            loader=lambda name: tiny_dataset(name), workers=1,
-        )
-        svc.start()
+        svc = MiningService(loader=lambda name: tiny_dataset(name))
         assert svc.shutdown(wait=True, timeout=30) is True
         assert svc.shutdown(wait=True, timeout=30) is True

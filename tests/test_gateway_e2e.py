@@ -126,7 +126,7 @@ class TestFleetServing:
         assert stats["jobs"]["done"] == 4
 
         svc = MiningService(
-            loader=loader, workers=2,
+            loader=loader,
             retry_policy=RetryPolicy(max_retries=3, base_delay=0.0),
         )
         with svc:
@@ -134,7 +134,7 @@ class TestFleetServing:
                 job_id = svc.submit("tiny", model, method, "zero_shot")
                 # HTTP and in-process agree on the content address ...
                 assert job_id == job["job_id"]
-                run = svc.result(job_id, timeout=120)
+                run = svc.result(job_id)
                 # ... and on every byte of the result
                 assert canonical(run_to_dict(run)) == canonical(
                     served[job_id]["run"]
@@ -181,7 +181,7 @@ class TestCrossProcessCache:
         job_id = self.mine_once(loader, tmp_path)
         collector = obs.install()
         # serve_from_cache=False forces dispatch, so the *worker's*
-        # MiningService finds the sibling process's cache entry
+        # job core finds the sibling process's cache entry
         with gateway(
             loader, tmp_path, workers=1, serve_from_cache=False,
         ) as gw:

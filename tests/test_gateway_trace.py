@@ -229,7 +229,7 @@ class TestFleetTrace:
             )
 
         svc = MiningService(
-            loader=loader, workers=1,
+            loader=loader,
             retry_policy=RetryPolicy(max_retries=3, base_delay=0.0),
         )
         with svc:

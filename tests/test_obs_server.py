@@ -124,29 +124,32 @@ class TestLiveService:
         loader = lambda name: build_dataset(name)  # noqa: E731
         collector = obs.install()
         with MiningService(
-            loader=loader, workers=2,
+            loader=loader,
             retry_policy=RetryPolicy(max_retries=1, base_delay=0.0),
         ) as service:
             with obs.TelemetryServer(
-                registry=collector.metrics, jobs=service.telemetry,
+                registry=collector.metrics, jobs=service.stats,
             ) as server:
                 before = json.loads(get(server.url + "/jobs")[2])
                 assert before["submitted"] == 0
-                assert before["workers"]["total"] == 2
-                assert before["queue"]["capacity"] == 64
+                assert before["cache"] is None      # no cache_dir given
 
                 job_id = service.submit(
                     "tiny", "llama3", "rag", "zero_shot"
                 )
-                service.result(job_id, timeout=60)
+                queued = json.loads(get(server.url + "/jobs")[2])
+                assert queued["jobs"]["queued"] == 1
+                assert queued["attempts"] == 0
+
+                service.result(job_id)
 
                 after = json.loads(get(server.url + "/jobs")[2])
+                assert after == service.stats()
                 assert after["submitted"] == 1
                 assert after["jobs"]["done"] == 1
                 assert after["jobs"]["queued"] == 0
-                assert after["queue"]["depth"] == 0
-                assert after["workers"]["busy"] == 0
-                assert after["workers"]["utilization"] == 0.0
+                assert after["attempts"] == 1
+                assert after["cache_hits"] == 0
 
                 # the same run's metrics are live on /metrics
                 status, _ctype, body = get(server.url + "/metrics")

@@ -1,11 +1,11 @@
-"""End-to-end tests for MiningService: dedup, disk-cache reuse across a
-process-simulating reload, config-hash invalidation, transient-failure
-retry, cancellation and backpressure."""
+"""End-to-end tests for MiningService: dedup (also under concurrent
+submits), disk-cache reuse across a process-simulating reload,
+config-hash invalidation, transient-failure retry, cancellation, and
+the execution model — every job mines on a caller's thread."""
 
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -17,8 +17,9 @@ from repro.service import (
     JobFailedError,
     JobState,
     MiningService,
-    QueueFull,
+    ResultCache,
     RetryPolicy,
+    ServiceDraining,
     UnknownJobError,
 )
 
@@ -60,15 +61,14 @@ def loader():
 
 
 def service(loader, **kwargs) -> MiningService:
-    kwargs.setdefault("workers", 2)
     kwargs.setdefault("retry_policy", FAST_RETRY)
     kwargs.setdefault("sleep", lambda seconds: None)
     return MiningService(loader=loader, **kwargs)
 
 
 class GateMiddleware:
-    """Blocks every LLM completion until released — pins a worker so
-    queued jobs can be observed and cancelled deterministically."""
+    """Blocks every LLM completion until released — pins the thread
+    that is mining so a second caller can be observed meanwhile."""
 
     def __init__(self) -> None:
         self.release = threading.Event()
@@ -98,7 +98,7 @@ class TestSubmission:
             first = svc.submit("tiny", "llama3", "rag", "zero_shot")
             second = svc.submit("tiny", "llama3", "rag", "zero_shot")
             assert first == second
-            run = svc.result(first, timeout=60)
+            run = svc.result(first)
             assert run.rule_count >= 0
         stats = svc.stats()
         assert stats["submitted"] == 1
@@ -118,21 +118,12 @@ class TestSubmission:
             svc.status("deadbeef")
         svc.shutdown()
 
-    def test_result_timeout(self, loader):
-        gate = GateMiddleware()
-        with service(loader, workers=1, llm_middleware=gate) as svc:
-            job_id = svc.submit("tiny", "llama3", "rag", "zero_shot")
-            with pytest.raises(TimeoutError):
-                svc.result(job_id, timeout=0.05)
-            gate.release.set()
-            svc.result(job_id, timeout=60)
-
 
 class TestDiskCache:
     def test_second_service_answers_from_cache(self, loader, tmp_path):
         with service(loader, cache_dir=tmp_path) as first:
             job_id = first.submit("tiny", "llama3", "rag", "zero_shot")
-            original = first.result(job_id, timeout=60)
+            original = first.result(job_id)
         assert first.stats()["cache"]["stores"] == 1
 
         collector = obs.install()
@@ -155,13 +146,13 @@ class TestDiskCache:
     def test_config_change_re_mines(self, loader, tmp_path):
         with service(loader, cache_dir=tmp_path) as first:
             job_id = first.submit("tiny", "llama3", "rag", "zero_shot")
-            first.result(job_id, timeout=60)
+            first.result(job_id)
         with service(loader, cache_dir=tmp_path) as second:
             tweaked = second.submit(
                 "tiny", "llama3", "rag", "zero_shot", rag_top_k=4,
             )
             assert tweaked != job_id
-            second.result(tweaked, timeout=60)
+            second.result(tweaked)
             assert second.status(tweaked)["cache_hit"] is False
             assert second.status(tweaked)["attempts"] == 1
 
@@ -175,13 +166,13 @@ class TestTransientFailures:
         sleeps: list[float] = []
         collector = obs.install()
         svc = MiningService(
-            loader=loader, workers=1, llm_middleware=injector,
+            loader=loader, llm_middleware=injector,
             retry_policy=RetryPolicy(max_retries=3, base_delay=0.25),
             sleep=sleeps.append,
         )
         with svc:
             job_id = svc.submit("tiny", "mixtral", "rag", "zero_shot")
-            run = svc.result(job_id, timeout=60)
+            run = svc.result(job_id)
         status = svc.status(job_id)
         assert status["state"] == "done"
         assert status["attempts"] == 3            # 2 failures + 1 success
@@ -195,13 +186,13 @@ class TestTransientFailures:
     def test_exhausted_retries_fail_the_job(self, loader):
         injector = TransientFaultInjector(failures=100)
         svc = service(
-            loader, workers=1, llm_middleware=injector,
+            loader, llm_middleware=injector,
             retry_policy=RetryPolicy(max_retries=2, base_delay=0.0),
         )
         with svc:
             job_id = svc.submit("tiny", "llama3", "rag", "zero_shot")
             with pytest.raises(JobFailedError):
-                svc.result(job_id, timeout=60)
+                svc.result(job_id)
         status = svc.status(job_id)
         assert status["state"] == "failed"
         assert "RetriesExhausted" in status["error"]
@@ -209,41 +200,136 @@ class TestTransientFailures:
 
 
 # ----------------------------------------------------------------------
-# cancellation + backpressure
+# cancellation
 # ----------------------------------------------------------------------
 class TestCancelAndBackpressure:
     def test_cancel_queued_job(self, loader):
-        gate = GateMiddleware()
-        with service(loader, workers=1, llm_middleware=gate) as svc:
-            running = svc.submit("tiny", "llama3", "rag", "zero_shot")
-            assert gate.entered.wait(timeout=30)  # worker is pinned
-            queued = svc.submit("tiny", "mixtral", "rag", "zero_shot")
+        with service(loader) as svc:
+            queued = svc.submit("tiny", "llama3", "rag", "zero_shot")
             assert svc.cancel(queued) is True
-            assert svc.cancel(running) is False   # already running
-            gate.release.set()
-            svc.result(running, timeout=60)
             with pytest.raises(JobFailedError):
-                svc.result(queued, timeout=60)
+                svc.result(queued)              # a cancelled job never mines
+            done = svc.submit("tiny", "mixtral", "rag", "zero_shot")
+            svc.result(done)
+            assert svc.cancel(done) is False    # finished jobs stay finished
         assert svc.status(queued)["state"] == JobState.CANCELLED.value
+        assert svc.status(queued)["attempts"] == 0
         assert svc.stats()["jobs"]["cancelled"] == 1
+        assert svc.stats()["jobs"]["done"] == 1
 
-    def test_full_queue_rejects_and_forgets_job(self, loader):
-        gate = GateMiddleware()
-        with service(
-            loader, workers=1, queue_depth=1, llm_middleware=gate,
-        ) as svc:
-            svc.submit("tiny", "llama3", "rag", "zero_shot")
-            assert gate.entered.wait(timeout=30)
-            svc.submit("tiny", "mixtral", "rag", "zero_shot")  # fills queue
-            with pytest.raises(QueueFull):
-                svc.submit(
-                    "tiny", "llama3", "rag", "few_shot", block=False,
-                )
-            # the refused job left no trace in the job table
-            assert svc.stats()["submitted"] == 2
-            gate.release.set()
-        assert svc.stats()["jobs"]["failed"] == 0
+
+# ----------------------------------------------------------------------
+# execution model: jobs mine on the caller's thread, once
+# ----------------------------------------------------------------------
+class CountingBarrierCache(ResultCache):
+    """A cache whose lookups wait for a second lookup (up to a timeout),
+    so two concurrent submits of one cell overlap inside ``get`` if both
+    reach it."""
+
+    def __init__(self, root, barrier: threading.Barrier) -> None:
+        super().__init__(root)
+        self.barrier = barrier
+        self.lookups = 0
+
+    def get(self, key):
+        self.lookups += 1
+        try:
+            self.barrier.wait()
+        except threading.BrokenBarrierError:
+            pass                               # no second lookup came
+        return super().get(key)
+
+
+class TestExecutionModel:
+    def test_service_starts_no_thread(self, loader, tmp_path):
+        before = threading.active_count()
+        svc = service(loader, cache_dir=tmp_path)
+        job_id = svc.submit("tiny", "llama3", "rag", "zero_shot")
+        assert threading.active_count() == before
+        svc.result(job_id)
+        assert threading.active_count() == before
+        svc.submit("tiny", "mixtral", "rag", "zero_shot")
+        assert svc.shutdown(wait=True) is True
+        assert threading.active_count() == before
         assert svc.stats()["jobs"]["done"] == 2
+
+    def test_concurrent_submits_of_one_cell_mine_once(
+        self, loader, tmp_path
+    ):
+        svc = service(loader, cache_dir=tmp_path)
+        cache = CountingBarrierCache(
+            tmp_path, threading.Barrier(2, timeout=1.0)
+        )
+        svc.cache = cache
+        ids: list[str] = []
+        threads = [
+            threading.Thread(target=lambda: ids.append(
+                svc.submit("tiny", "llama3", "rag", "zero_shot")
+            ))
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(ids) == 2 and ids[0] == ids[1]
+        svc.result(ids[0])
+        assert svc.shutdown(wait=True) is True
+        assert cache.stats.stores == 1          # one mining run stored
+        assert cache.lookups == 1               # only the inserting submit
+        stats = svc.stats()
+        assert stats["submitted"] == 1
+        assert stats["attempts"] == 1
+
+    def test_two_result_callers_share_one_mining_run(self, loader):
+        gate = GateMiddleware()
+        collector = obs.install()
+        svc = service(loader, llm_middleware=gate)
+        job_id = svc.submit("tiny", "llama3", "rag", "zero_shot")
+        runs: list[object] = []
+        miner = threading.Thread(target=lambda: runs.append(svc.result(job_id)))
+        miner.start()
+        assert gate.entered.wait(timeout=30)    # miner holds the job
+        assert svc.status(job_id)["state"] == "running"
+        waiter = threading.Thread(target=lambda: runs.append(svc.result(job_id)))
+        waiter.start()
+        waiter.join(timeout=0.2)
+        assert waiter.is_alive()                # blocked on the running job
+        gate.release.set()
+        miner.join(timeout=60)
+        waiter.join(timeout=60)
+        assert len(runs) == 2 and runs[0] is runs[1]
+        assert svc.stats()["attempts"] == 1
+        attempts = [
+            item for item in collector.iter_spans()
+            if item.name == "service.attempt"
+        ]
+        assert len(attempts) == 1
+
+    def test_waited_shutdown_stops_at_the_deadline(self, loader):
+        now = [0.0]
+
+        def slow(llm):
+            class Slow:
+                def complete(self, prompt):
+                    now[0] += 10.0              # each call costs 10 s
+                    return llm.complete(prompt)
+
+                def __getattr__(self, name):
+                    return getattr(llm, name)
+
+            return Slow()
+
+        svc = service(loader, llm_middleware=slow, clock=lambda: now[0])
+        first = svc.submit("tiny", "llama3", "rag", "zero_shot")
+        second = svc.submit("tiny", "mixtral", "rag", "zero_shot")
+        # the first job starts inside the 5 s budget; the second would
+        # start past it, so it stays QUEUED and shutdown reports that
+        assert svc.shutdown(wait=True, timeout=5.0) is False
+        assert svc.status(first)["state"] == "done"
+        assert svc.status(second)["state"] == "queued"
+        with pytest.raises(ServiceDraining):
+            svc.submit("tiny", "llama3", "rag", "few_shot")
 
 
 # ----------------------------------------------------------------------
@@ -255,16 +341,16 @@ class TestGridSliceTwice:
             datasets=["tiny"], methods=["rag", "sliding_window"],
             prompt_modes=["zero_shot"],
         )
-        with service(loader, cache_dir=tmp_path, workers=2) as first:
+        with service(loader, cache_dir=tmp_path) as first:
             ids = first.submit_grid(**grid)
             assert len(ids) == 4                  # 2 methods × 2 models
             originals = {
-                job_id: first.result(job_id, timeout=120) for job_id in ids
+                job_id: first.result(job_id) for job_id in ids
             }
         assert first.stats()["cache"]["stores"] == 4
 
         collector = obs.install()
-        with service(loader, cache_dir=tmp_path, workers=2) as second:
+        with service(loader, cache_dir=tmp_path) as second:
             replay = second.submit_grid(**grid)
             assert replay == ids
             for job_id in replay:

@@ -28,7 +28,9 @@ wall-clock reads (``time.time()`` / ``time.monotonic()`` /
 timeline only stays deterministic when real time is either owned by the
 obs layer or injected as a clock parameter.  Process-lifecycle modules
 that legitimately watch the real clock are enumerated in
-``tools/wallclock_allowlist.txt``.  When ruff *is* importable (CI
+``tools/wallclock_allowlist.txt``; an entry naming a missing file or a
+file without such a call site fails the gate, so the list only shrinks.
+When ruff *is* importable (CI
 installs it), it runs afterwards for the full rule set.
 
 Usage::
@@ -328,20 +330,16 @@ def load_wallclock_allowlist() -> set[str]:
     return entries
 
 
-def check_wallclock(
-    path: Path, tree: ast.AST, allowlist: set[str]
-) -> list[str]:
+def check_wallclock(path: Path, tree: ast.AST) -> list[str]:
     """Flag direct wall-clock *call sites* outside ``repro.obs``.
 
     Only ``ast.Call`` nodes are flagged: passing ``time.monotonic`` as a
     default for an injectable ``clock`` parameter is the sanctioned
-    pattern and stays legal.
+    pattern and stays legal.  The allowlist is applied by the caller.
     """
     relative = path.relative_to(REPO)
     if path.relative_to(SRC).parts[:2] == ("repro", "obs"):
         return []                    # the obs layer owns real time
-    if str(relative) in allowlist:
-        return []
 
     # `from time import monotonic` makes the bare name a clock read
     banned_names = {
@@ -366,6 +364,26 @@ def check_wallclock(
                 f"parameter, or add the file to "
                 f"tools/wallclock_allowlist.txt"
             )
+    return problems
+
+
+def stale_allowlist_entries(
+    allowlist: set[str], flagged: set[str]
+) -> list[str]:
+    """Allowlist entries naming a missing file or a file with no flagged
+    wall-clock call site: the list may only shrink, never go stale."""
+    problems = []
+    for entry in sorted(allowlist):
+        if not (REPO / entry).is_file():
+            reason = "file does not exist"
+        elif entry not in flagged:
+            reason = "file has no wall-clock call site"
+        else:
+            continue
+        problems.append(
+            f"{WALLCLOCK_ALLOWLIST.name}: stale entry "
+            f"'{entry}' ({reason}) — remove it"
+        )
     return problems
 
 
@@ -398,6 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     problems: list[str] = []
     checked = 0
     allowlist = load_wallclock_allowlist()
+    flagged: set[str] = set()        # allowlisted files with call sites
     targets = sorted(SRC.rglob("*.py")) + sorted(
         (REPO / "tools").glob("*.py")
     )
@@ -412,9 +431,16 @@ def main(argv: list[str] | None = None) -> int:
         if path.is_relative_to(SRC):
             problems.extend(check_layering(path, tree))
             problems.extend(check_obs_sublayers(path, tree))
-            problems.extend(check_wallclock(path, tree, allowlist))
+            clock_calls = check_wallclock(path, tree)
+            relative = str(path.relative_to(REPO))
+            if relative in allowlist:
+                if clock_calls:
+                    flagged.add(relative)
+            else:
+                problems.extend(clock_calls)
         problems.extend(check_lint(path, tree, source))
         problems.extend(check_bare_except(path, tree))
+    problems.extend(stale_allowlist_entries(allowlist, flagged))
 
     for problem in problems:
         print(problem)

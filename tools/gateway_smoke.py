@@ -152,8 +152,9 @@ def main(argv: list[str] | None = None) -> int:
             job_ids[(model, method)] = str(job["job_id"])
         for job_id in job_ids.values():
             client.wait(job_id, timeout=600)
-        # checked before any result fetch: a worker that stored a run
-        # under a different content address leaves nothing to fetch
+        # checked before any result fetch, which would only report the
+        # job as failed: a worker that stored its run under a different
+        # content address leaves nothing to fetch
         if fingerprint_mismatches(collector):
             return fail(
                 f"{fingerprint_mismatches(collector)} worker content "
@@ -189,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"fleet trace written to {args.trace_out}")
 
     svc = MiningService(
-        cache_dir=None, workers=2,
+        cache_dir=None,
         retry_policy=RetryPolicy(max_retries=3, base_delay=0.0),
     )
     with svc:
@@ -200,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"content address mismatch for {model}/{method}: "
                     f"gateway {job_id[:12]} vs in-process {local_id[:12]}"
                 )
-            run = svc.result(local_id, timeout=600)
+            run = svc.result(local_id)
             if json.dumps(run_to_dict(run), sort_keys=True) != served[job_id]:
                 return fail(
                     f"served bytes differ from in-process mining "
