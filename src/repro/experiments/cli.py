@@ -107,7 +107,8 @@ def _serve_gateway(args: argparse.Namespace) -> int:
     import tempfile
     import threading
 
-    from repro.gateway import AdmissionPolicy, Gateway, SpecDefaults
+    from repro.gateway import AdmissionPolicy, Gateway
+    from repro.service import SpecDefaults
 
     cache_dir = args.cache_dir
     if cache_dir is None:
@@ -190,7 +191,9 @@ def _serve_gateway(args: argparse.Namespace) -> int:
 
 def serve_main(argv: list[str]) -> int:
     """Run a grid slice through :class:`repro.service.MiningService`."""
-    from repro.service import JobFailedError, MiningService, RetryPolicy
+    from repro.service import (
+        JobFailedError, MiningService, RetryPolicy, SpecDefaults,
+    )
 
     parser = argparse.ArgumentParser(
         prog="repro-experiments serve",
@@ -320,7 +323,7 @@ def serve_main(argv: list[str]) -> int:
         service = MiningService(
             cache_dir=args.cache_dir,
             retry_policy=RetryPolicy(max_retries=args.max_retries),
-            base_seed=args.seed,
+            defaults=SpecDefaults(base_seed=args.seed),
         )
         if args.telemetry_port is not None:
             telemetry = obs.TelemetryServer(

@@ -12,7 +12,9 @@ One gateway process owns:
 * the **shared on-disk result cache** — job ids are the same content
   addresses the in-process service computes, so HTTP submissions,
   in-process ``mine()`` calls and sibling gateway processes all
-  deduplicate against one another.
+  deduplicate against one another; jobs live in the service's
+  :class:`~repro.service.JobTable`, and a :class:`GatewayJob` is a
+  :class:`~repro.service.Job` with the fleet's extra fields.
 
 Typical serving setup (the CLI's ``serve --port`` does exactly this)::
 
@@ -41,12 +43,10 @@ from repro.gateway.dispatcher import (
     DispatcherDraining,
     DispatchQueueFull,
     GatewayJob,
-    GatewayJobState,
 )
 from repro.gateway.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
-    SpecDefaults,
     parse_submit,
 )
 from repro.gateway.server import (
@@ -54,7 +54,6 @@ from repro.gateway.server import (
     GatewayJobFailed,
     GatewayRejected,
     UnknownDatasetError,
-    UnknownGatewayJobError,
 )
 
 # NOTE: repro.gateway.worker is deliberately not imported here — it is
@@ -74,14 +73,11 @@ __all__ = [
     "GatewayError",
     "GatewayJob",
     "GatewayJobFailed",
-    "GatewayJobState",
     "GatewayRejected",
     "GatewayRejectedError",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "SpecDefaults",
     "TokenBucket",
     "UnknownDatasetError",
-    "UnknownGatewayJobError",
     "parse_submit",
 ]

@@ -3,7 +3,9 @@
 Owns N worker *processes* (spawned from
 :mod:`repro.gateway.worker`), a bounded FIFO backlog of accepted jobs,
 and the bookkeeping that turns worker ``done`` events back into
-resolved :class:`GatewayJob` records.
+resolved :class:`GatewayJob` records — the service's
+:class:`~repro.service.jobs.Job` with its one state enum, so a job on a
+worker reports ``running``.
 
 Robustness model:
 
@@ -20,7 +22,6 @@ Robustness model:
 
 from __future__ import annotations
 
-import enum
 import os
 import subprocess
 import sys
@@ -33,14 +34,13 @@ from typing import Optional
 
 from repro import obs
 from repro.gateway import protocol
-from repro.service.jobs import JobSpec
+from repro.service.jobs import Job, JobState
 
 __all__ = [
     "Dispatcher",
     "DispatchQueueFull",
     "DispatcherDraining",
     "GatewayJob",
-    "GatewayJobState",
 ]
 
 
@@ -52,43 +52,22 @@ class DispatcherDraining(RuntimeError):
     """The dispatcher is draining and refuses new jobs."""
 
 
-class GatewayJobState(enum.Enum):
-    QUEUED = "queued"
-    DISPATCHED = "dispatched"
-    DONE = "done"
-    FAILED = "failed"
-    CANCELLED = "cancelled"
+@dataclass(kw_only=True)
+class GatewayJob(Job):
+    """A :class:`~repro.service.jobs.Job` accepted by the gateway, plus
+    what the fleet needs to run it and the gateway reports about it.
 
-    @property
-    def terminal(self) -> bool:
-        return self in (
-            GatewayJobState.DONE,
-            GatewayJobState.FAILED,
-            GatewayJobState.CANCELLED,
-        )
+    The dispatcher moves it QUEUED → RUNNING (sent to a worker) →
+    DONE/FAILED/CANCELLED, and back to QUEUED when a crashed worker's
+    job is requeued.
+    """
 
-
-@dataclass
-class GatewayJob:
-    """One accepted submission and everything known about it."""
-
-    job_id: str
-    spec: JobSpec
     snapshot_path: str
     client: str = "anonymous"
-    state: GatewayJobState = GatewayJobState.QUEUED
     source: str = "pending"        # cache | worker | worker-cache
-    error: Optional[str] = None
-    cache_hit: bool = False
     worker_id: Optional[str] = None
-    attempts: int = 0
-    retries: int = 0
     rules: int = 0
-    computed_id: str = ""
     dispatch_attempts: int = 0
-    submitted_at: float = 0.0
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
     #: set once at first enqueue and preserved across crash-requeues so
     #: queue-wait accounting covers the *whole* time a job sat waiting
     first_enqueued_at: float = 0.0
@@ -96,23 +75,14 @@ class GatewayJob:
     #: the gateway's TraceAssembler for this job (None when the gateway
     #: runs without an installed collector)
     trace: object = field(default=None, repr=False)
-    done: threading.Event = field(
-        default_factory=threading.Event, repr=False
-    )
 
     def snapshot(self) -> dict[str, object]:
         """Plain-dict view for the status endpoint."""
         return {
-            "job_id": self.job_id,
-            "cell": self.spec.cell(),
-            "state": self.state.value,
+            **super().snapshot(),
             "source": self.source,
-            "cache_hit": self.cache_hit,
             "worker": self.worker_id,
-            "attempts": self.attempts,
-            "retries": self.retries,
             "rules": self.rules,
-            "error": self.error,
             "client": self.client,
             "trace_id": self.trace_id,
         }
@@ -283,13 +253,6 @@ class Dispatcher:
             return len(self._backlog)
 
     @property
-    def dispatched(self) -> int:
-        with self._cv:
-            return sum(
-                1 for handle in self._workers if handle.busy is not None
-            )
-
-    @property
     def inflight(self) -> int:
         with self._cv:
             busy = sum(
@@ -343,7 +306,7 @@ class Dispatcher:
             for job in self._backlog:
                 if job.job_id == job_id:
                     self._backlog.remove(job)
-                    job.state = GatewayJobState.CANCELLED
+                    job.state = JobState.CANCELLED
                     job.finished_at = time.monotonic()
                     obs.set_gauge("gateway.queue.depth", len(self._backlog))
                     job.done.set()
@@ -399,7 +362,7 @@ class Dispatcher:
                     obs.set_gauge("gateway.queue.depth", len(self._backlog))
                     handle.busy = job
                     job.worker_id = handle.worker_id
-                    job.state = GatewayJobState.DISPATCHED
+                    job.state = JobState.RUNNING
                     job.started_at = time.monotonic()
                     job.dispatch_attempts += 1
                     # pin the process + generation selected under the
@@ -448,10 +411,10 @@ class Dispatcher:
         job.attempts = int(event.get("attempts") or 0)
         job.retries = int(event.get("retries") or 0)
         job.rules = int(event.get("rules") or 0)
-        job.computed_id = str(event.get("computed_id") or "")
+        computed_id = str(event.get("computed_id") or "")
         job.finished_at = time.monotonic()
         error = None if mined else str(event.get("error") or "worker failure")
-        if job.computed_id and job.computed_id != job.job_id:
+        if computed_id and computed_id != job.job_id:
             # the worker's content address disagrees with the gateway's:
             # its run landed under a different cache key (e.g. the graph
             # snapshot did not round-trip byte-stable), so nothing is
@@ -460,17 +423,17 @@ class Dispatcher:
             if mined:
                 error = (
                     f"content address mismatch: worker computed "
-                    f"{job.computed_id[:12]}, gateway expected "
+                    f"{computed_id[:12]}, gateway expected "
                     f"{job.job_id[:12]}"
                 )
         ok = error is None
         if ok:
-            job.state = GatewayJobState.DONE
+            job.state = JobState.DONE
             job.source = "worker-cache" if job.cache_hit else "worker"
             with self._cv:
                 self.jobs_completed += 1
         else:
-            job.state = GatewayJobState.FAILED
+            job.state = JobState.FAILED
             job.error = error
             job.source = "worker"
             with self._cv:
@@ -534,7 +497,7 @@ class Dispatcher:
         self._on_worker_exit(handle, generation)
 
     def _fail_inflight(self, job: GatewayJob) -> None:
-        job.state = GatewayJobState.FAILED
+        job.state = JobState.FAILED
         job.error = "worker process died while executing the job"
         job.finished_at = time.monotonic()
         with self._cv:
@@ -591,7 +554,7 @@ class Dispatcher:
                         ),
                     )
                 with self._cv:
-                    job.state = GatewayJobState.QUEUED
+                    job.state = JobState.QUEUED
                     job.worker_id = None
                     self._backlog.appendleft(job)
                     obs.set_gauge(

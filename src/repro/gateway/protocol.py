@@ -22,18 +22,13 @@ decode time instead of silently mis-running jobs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.llm.profiles import MODEL_NAMES
-from repro.mining.pipeline import PROMPT_MODES
-from repro.mining.runner import METHODS
-from repro.service.jobs import JobSpec
+from repro.service.jobs import KNOB_BOUNDS, JobSpec, SpecDefaults
 
 __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "SpecDefaults",
     "decode_line",
     "done_event",
     "encode_line",
@@ -51,30 +46,9 @@ __all__ = [
 #: a v1 worker paired with a v2 gateway fails loudly at decode time.
 PROTOCOL_VERSION = 2
 
-#: integer knobs a submit payload may override, with bounds that keep a
-#: hostile payload from wedging a worker (0-token windows, giant top-k)
-_INT_OVERRIDES = {
-    "base_seed": (0, 2**31),
-    "window_size": (64, 1_000_000),
-    "overlap": (0, 100_000),
-    "rag_chunk_tokens": (16, 100_000),
-    "rag_top_k": (1, 4096),
-}
-
 
 class ProtocolError(ValueError):
     """A payload violates the wire protocol; maps to HTTP 400."""
-
-
-@dataclass(frozen=True)
-class SpecDefaults:
-    """Gateway-wide defaults for the overridable pipeline knobs."""
-
-    base_seed: int = 0
-    window_size: int = 8000
-    overlap: int = 500
-    rag_chunk_tokens: int = 512
-    rag_top_k: int = 16
 
 
 def _require_str(payload: Mapping[str, Any], field: str) -> str:
@@ -89,51 +63,30 @@ def parse_submit(
 ) -> JobSpec:
     """Validate a ``POST /jobs`` body into a :class:`JobSpec`.
 
-    Raises :class:`ProtocolError` with a client-actionable message on
-    any violation; never partially applies a payload.
+    Checks the cell with :meth:`SpecDefaults.spec`, as the in-process
+    service does.  Raises :class:`ProtocolError` with a client-actionable
+    message on any violation; never partially applies a payload.
     """
-    defaults = defaults or SpecDefaults()
     if not isinstance(payload, Mapping):
         raise ProtocolError("submit payload must be a JSON object")
-    dataset = _require_str(payload, "dataset").lower()
-    model = _require_str(payload, "model").lower()
-    method = _require_str(payload, "method")
-    prompt_mode = _require_str(payload, "prompt_mode")
-    if model not in MODEL_NAMES:
-        raise ProtocolError(
-            f"unknown model {model!r}; one of {sorted(MODEL_NAMES)}"
-        )
-    if method not in METHODS:
-        raise ProtocolError(
-            f"unknown method {method!r}; one of {sorted(METHODS)}"
-        )
-    if prompt_mode not in PROMPT_MODES:
-        raise ProtocolError(
-            f"unknown prompt mode {prompt_mode!r}; "
-            f"one of {sorted(PROMPT_MODES)}"
-        )
-    knobs: dict[str, int] = {}
-    for field, (low, high) in _INT_OVERRIDES.items():
-        value = payload.get(field, getattr(defaults, field))
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ProtocolError(f"field {field!r} must be an integer")
-        if not low <= value <= high:
-            raise ProtocolError(
-                f"field {field!r} must be in [{low}, {high}], got {value}"
-            )
-        knobs[field] = value
+    cell = [
+        _require_str(payload, field)
+        for field in ("dataset", "model", "method", "prompt_mode")
+    ]
+    knobs = {name: payload[name] for name in KNOB_BOUNDS if name in payload}
+    try:
+        spec = (defaults or SpecDefaults()).spec(*cell, **knobs)
+    except ValueError as error:
+        raise ProtocolError(str(error)) from error
     traceparent = payload.get("traceparent")
     if traceparent is not None and not isinstance(traceparent, str):
         raise ProtocolError("field 'traceparent' must be a string")
     known = {"dataset", "model", "method", "prompt_mode", "client",
-             "priority", "traceparent", *_INT_OVERRIDES}
+             "traceparent", *KNOB_BOUNDS}
     unknown = set(payload) - known
     if unknown:
         raise ProtocolError(f"unknown fields: {sorted(unknown)}")
-    return JobSpec(
-        dataset=dataset, model=model, method=method,
-        prompt_mode=prompt_mode, **knobs,
-    )
+    return spec
 
 
 def spec_to_payload(spec: JobSpec) -> dict[str, Any]:

@@ -14,6 +14,9 @@ process:
   one shared-cache entry (workers recompute it from the snapshot they
   load; a disagreement fails the job and counts in
   ``gateway.fingerprint_mismatches``);
+* **one job table** — the service's :class:`~repro.service.JobTable`;
+  lookup, cache short-circuit and dispatch share one lock hold, so one
+  cell is one job and one dispatch, and a refused job is never recorded;
 * **dataset snapshots** — each served dataset is materialised once to
   ``<cache_dir>/.snapshots/<name>.json`` (see
   :mod:`repro.datasets.snapshot`); workers load the snapshot instead of
@@ -41,6 +44,7 @@ import math
 import sys
 import threading
 import time
+from dataclasses import asdict
 from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Optional
@@ -56,7 +60,6 @@ from repro.gateway.dispatcher import (
     DispatcherDraining,
     DispatchQueueFull,
     GatewayJob,
-    GatewayJobState,
 )
 from repro.mining.persistence import run_to_dict
 from repro.mining.result import MiningRun
@@ -64,7 +67,14 @@ from repro.obs.export import prometheus_text
 from repro.obs.server import JsonRequestHandler
 from repro.service.api import JobFailedError
 from repro.service.cache import ResultCache
-from repro.service.jobs import cache_key, graph_fingerprint
+from repro.service.jobs import (
+    JobState,
+    JobTable,
+    SpecDefaults,
+    UnknownJobError,
+    cache_key,
+    graph_fingerprint,
+)
 from repro.stream.mutations import MutationError
 from repro.stream.watch import WatchService
 
@@ -73,16 +83,11 @@ __all__ = [
     "GatewayJobFailed",
     "GatewayRejected",
     "UnknownDatasetError",
-    "UnknownGatewayJobError",
 ]
 
 #: reasons mapped to 503 instead of 429 — the server, not the client,
 #: is the one that needs to change state before a retry can succeed
 _UNAVAILABLE_REASONS = frozenset({"draining"})
-
-#: terminal-job retention bound: the oldest resolved jobs are forgotten
-#: once the table crosses this, so a long-lived gateway stays bounded
-_MAX_JOBS = 4096
 
 
 class GatewayRejected(RuntimeError):
@@ -98,10 +103,6 @@ class GatewayRejected(RuntimeError):
     @property
     def status(self) -> int:
         return 503 if self.decision.reason in _UNAVAILABLE_REASONS else 429
-
-
-class UnknownGatewayJobError(KeyError):
-    """No job with that id was ever accepted by this gateway."""
 
 
 class UnknownDatasetError(KeyError):
@@ -127,7 +128,7 @@ class Gateway:
         port: int = 0,
         queue_depth: int = 64,
         policy: AdmissionPolicy | None = None,
-        defaults: protocol.SpecDefaults | None = None,
+        defaults: SpecDefaults | None = None,
         loader: Callable[[str], Dataset] | None = None,
         max_retries: int = 3,
         retry_base_delay: float = 0.5,
@@ -145,7 +146,7 @@ class Gateway:
         self.cache_dir = Path(cache_dir)
         self.host = host
         self.requested_port = port
-        self.defaults = defaults or protocol.SpecDefaults()
+        self.defaults = defaults or SpecDefaults()
         self.loader = loader or load
         self.serve_from_cache = serve_from_cache
         self.drain_timeout = drain_timeout
@@ -168,12 +169,12 @@ class Gateway:
             drain_timeout=drain_timeout,
             python=python,
         )
-        self._jobs: dict[str, GatewayJob] = {}
-        self._jobs_lock = threading.Lock()
+        self.jobs = JobTable(
+            self.cache if serve_from_cache else None, clock
+        )
         self._datasets: dict[str, tuple[str, str]] = {}  # name -> (path, fp)
         self._dataset_objects: dict[str, Dataset] = {}
         self._dataset_lock = threading.Lock()
-        self._draining = False
         self._started = False
         self.started_at = clock()
         self._httpd: _GatewayServer | None = None
@@ -212,8 +213,7 @@ class Gateway:
 
     @property
     def draining(self) -> bool:
-        with self._jobs_lock:
-            return self._draining
+        return self.dispatcher.draining
 
     def drain(self, timeout: float | None = None) -> bool:
         """Refuse new jobs, finish accepted work, stop the fleet.
@@ -222,8 +222,6 @@ class Gateway:
         within the deadline.  The HTTP server stays up throughout (and
         after) so clients can still poll results of drained jobs.
         """
-        with self._jobs_lock:
-            self._draining = True
         obs.set_gauge("gateway.draining", 1)
         return self.dispatcher.drain(
             timeout if timeout is not None else self.drain_timeout
@@ -389,71 +387,69 @@ class Gateway:
         self._admit(client)
         snapshot_path, fingerprint = self._dataset_entry(spec.dataset)
         job_id = cache_key(spec, fingerprint)
-        with self._jobs_lock:
-            existing = self._jobs.get(job_id)
-            if existing is not None:
-                return existing
         # adopt the client's trace context when a valid traceparent came
         # in; otherwise mint a fresh trace.  No installed collector means
         # no tracing at all — the assembler would have nowhere to publish
         context = obs.parse_traceparent(payload.get("traceparent"))
-        trace = None
-        if obs.get_collector() is not None:
-            trace = obs.TraceAssembler(
-                trace_id=context[0] if context else None,
-                clock=self._clock,
-            )
-        job = GatewayJob(
-            job_id=job_id,
-            spec=spec,
-            snapshot_path=snapshot_path,
-            client=client,
-            submitted_at=self._clock(),
-            trace_id=trace.trace_id if trace is not None else "",
-            trace=trace,
-        )
-        if trace is not None:
-            trace.begin(
-                "gateway.job",
-                job_id=job_id[:12],
-                cell="/".join(spec.cell()),
+
+        def make() -> GatewayJob:
+            trace = None
+            if obs.get_collector() is not None:
+                trace = obs.TraceAssembler(
+                    trace_id=context[0] if context else None,
+                    clock=self._clock,
+                )
+                trace.begin(
+                    "gateway.job",
+                    job_id=job_id[:12],
+                    cell="/".join(spec.cell()),
+                    client=client,
+                    remote_parent=context[1] if context else None,
+                )
+            return GatewayJob(
+                job_id=job_id,
+                spec=spec,
+                snapshot_path=snapshot_path,
                 client=client,
-                remote_parent=context[1] if context else None,
+                submitted_at=self._clock(),
+                trace_id=trace.trace_id if trace is not None else "",
+                trace=trace,
             )
-        if self.serve_from_cache:
-            run = self.cache.get(job_id)
-            if run is not None:
-                # another process (or a past run) already mined this
-                # cell — answer from the shared cache without touching
-                # the fleet
-                job.state = GatewayJobState.DONE
-                job.source = "cache"
-                job.cache_hit = True
-                job.rules = run.rule_count
-                job.computed_id = job_id
-                job.finished_at = self._clock()
-                if trace is not None:
-                    trace.event("gateway.cache", source="gateway")
-                    trace.finish(state=job.state.value, source=job.source)
-                job.done.set()
-                self._remember(job)
-                obs.inc("gateway.cache.hits", source="gateway")
-                obs.inc("gateway.jobs_completed", ok=True, cache_hit=True)
-                return job
-            obs.inc("gateway.cache.misses", source="gateway")
-        self._remember(job)
+
         try:
-            self.dispatcher.submit(job)
+            job, _ = self.jobs.find_or_insert(
+                job_id, make, accept=self._accept,
+            )
         except DispatchQueueFull:
-            self._forget(job_id)
             raise GatewayRejected(self.admission.shed("queue_full"))
         except DispatcherDraining:
-            self._forget(job_id)
             raise GatewayRejected(self.admission.shed(
                 "draining", retry_after=self.drain_timeout,
             ))
-        obs.inc("gateway.jobs_accepted")
         return job
+
+    def _accept(self, job: GatewayJob) -> None:
+        """Finish a new cache-hit job, or hand a new job to the fleet.
+
+        Runs under the job-table lock, so a job the dispatcher refuses
+        is never recorded and no concurrent submit can have found it.
+        """
+        if job.cache_hit:
+            # another process (or a past run) already mined this cell —
+            # answer from the shared cache without touching the fleet
+            job.source = "cache"
+            job.rules = job.result.rule_count
+            job.result = None  # runs are always re-read from the cache
+            if job.trace is not None:
+                job.trace.event("gateway.cache", source="gateway")
+                job.trace.finish(state=job.state.value, source=job.source)
+            obs.inc("gateway.cache.hits", source="gateway")
+            obs.inc("gateway.jobs_completed", ok=True, cache_hit=True)
+            return
+        if self.serve_from_cache:
+            obs.inc("gateway.cache.misses", source="gateway")
+        self.dispatcher.submit(job)
+        obs.inc("gateway.jobs_accepted")
 
     def _admit(self, client: str) -> None:
         """Admission control; raises :class:`GatewayRejected` on shed."""
@@ -469,34 +465,13 @@ class Gateway:
         if not decision.admitted:
             raise GatewayRejected(decision)
 
-    def _remember(self, job: GatewayJob) -> None:
-        with self._jobs_lock:
-            self._jobs[job.job_id] = job
-            if len(self._jobs) > _MAX_JOBS:
-                for job_id, old in list(self._jobs.items()):
-                    if len(self._jobs) <= _MAX_JOBS:
-                        break
-                    if old.state.terminal:
-                        del self._jobs[job_id]
-
-    def _forget(self, job_id: str) -> None:
-        with self._jobs_lock:
-            self._jobs.pop(job_id, None)
-
-    def _job(self, job_id: str) -> GatewayJob:
-        with self._jobs_lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            raise UnknownGatewayJobError(job_id)
-        return job
-
     def status(self, job_id: str) -> dict[str, object]:
-        return self._job(job_id).snapshot()
+        return self.jobs.get(job_id).snapshot()
 
     def trace_payload(self, job_id: str) -> dict[str, object] | None:
         """The job's assembled span tree, or ``None`` when the gateway
         runs without an installed collector (tracing disabled)."""
-        job = self._job(job_id)
+        job = self.jobs.get(job_id)
         if job.trace is None:
             return None
         payload = job.trace.to_dict()
@@ -513,12 +488,12 @@ class Gateway:
         the worker process stored it there, for cache-served jobs it was
         there to begin with — the gateway never holds result payloads.
         """
-        job = self._job(job_id)
+        job = self.jobs.get(job_id)
         if not job.done.wait(timeout=timeout):
             raise TimeoutError(
                 f"job {job_id[:12]} still {job.state.value} after {timeout}s"
             )
-        if job.state is not GatewayJobState.DONE:
+        if job.state is not JobState.DONE:
             raise GatewayJobFailed(job)
         run = self.cache.get(job_id)
         if run is None:
@@ -526,31 +501,17 @@ class Gateway:
         return run
 
     def cancel(self, job_id: str) -> bool:
-        job = self._job(job_id)
-        return self.dispatcher.cancel(job.job_id)
+        return self.dispatcher.cancel(self.jobs.get(job_id).job_id)
 
     def stats(self) -> dict[str, object]:
-        with self._jobs_lock:
-            jobs = list(self._jobs.values())
-            draining = self._draining
-        by_state = {state.value: 0 for state in GatewayJobState}
-        for job in jobs:
-            by_state[job.state.value] += 1
         cache = self.cache.stats
         return {
             "uptime_seconds": self._clock() - self.started_at,
-            "draining": draining,
-            "jobs": by_state,
-            "tracked": len(jobs),
+            "draining": self.draining,
+            **self.jobs.counts(),
             "admission": self.admission.snapshot(),
             "dispatcher": self.dispatcher.stats(),
-            "cache": {
-                "entries": len(self.cache),
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "stores": cache.stores,
-                "evictions": cache.evictions,
-            },
+            "cache": {"entries": len(self.cache), **asdict(cache)},
             "datasets": sorted(self._datasets),
             "watch": {
                 "enabled": self.watch_enabled,
@@ -602,7 +563,7 @@ class _Handler(JsonRequestHandler):
         started = clock()
         try:
             handler()
-        except UnknownGatewayJobError as error:
+        except UnknownJobError as error:
             self._send_json(404, {"error": f"unknown job {error.args[0]!r}"})
         except Exception as error:  # noqa - serving must survive any request
             self._send_json(500, {"error": str(error)})
@@ -738,7 +699,7 @@ class _Handler(JsonRequestHandler):
         self._send_json(200, self.gateway.status(job_id))
 
     def _result(self, job_id: str) -> None:
-        job = self.gateway._job(job_id)
+        job = self.gateway.jobs.get(job_id)
         if not job.state.terminal:
             self._send_json(202, job.snapshot())
             return

@@ -10,7 +10,9 @@ jobs and runs each one on the thread that asks for its result::
 
 Submission is idempotent: a job's id is the content address of its
 (graph, code, config) triple, so submitting the same cell twice yields
-the same id and at most one mining run.  Results persist in the on-disk
+the same id and at most one mining run.  Specs are checked by
+:meth:`SpecDefaults.spec` and jobs live in a :class:`JobTable`, both
+shared with the HTTP gateway.  Results persist in the on-disk
 :class:`~repro.service.cache.ResultCache`, so a fresh process re-serving
 an already-mined cell answers from cache without touching a pipeline.
 Mining itself is :func:`~repro.service.workers.run_job`, the same job
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable
 
@@ -36,19 +39,21 @@ from repro.mining.pipeline import PROMPT_MODES
 from repro.mining.result import MiningRun
 from repro.mining.runner import METHODS, PipelineCache
 from repro.service.cache import ResultCache
-from repro.service.jobs import Job, JobSpec, JobState, cache_key, graph_fingerprint
+from repro.service.jobs import (
+    Job,
+    JobState,
+    JobTable,
+    SpecDefaults,
+    cache_key,
+    graph_fingerprint,
+)
 from repro.service.workers import RetryPolicy, run_job
 
 __all__ = [
     "JobFailedError",
     "MiningService",
     "ServiceDraining",
-    "UnknownJobError",
 ]
-
-
-class UnknownJobError(KeyError):
-    """No job with that id was ever submitted to this service."""
 
 
 class ServiceDraining(RuntimeError):
@@ -68,40 +73,40 @@ class JobFailedError(RuntimeError):
 
 
 class MiningService:
-    """Job table + content-addressed result cache over :func:`run_job`."""
+    """A :class:`JobTable` + content-addressed result cache over
+    :func:`run_job`."""
 
     def __init__(
         self,
         cache_dir: str | Path | None = None,
         retry_policy: RetryPolicy | None = None,
         loader: Callable[[str], Dataset] | None = None,
-        base_seed: int = 0,
-        window_size: int = 8000,
-        overlap: int = 500,
-        rag_chunk_tokens: int = 512,
-        rag_top_k: int = 16,
+        defaults: SpecDefaults | None = None,
         llm_middleware: Callable[[object], object] | None = None,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.retry_policy = retry_policy or RetryPolicy()
         self.loader = loader or load
-        self.base_seed = base_seed
-        self.window_size = window_size
-        self.overlap = overlap
-        self.rag_chunk_tokens = rag_chunk_tokens
-        self.rag_top_k = rag_top_k
+        self.defaults = defaults or SpecDefaults()
         self._sleep = sleep
         self._clock = clock
-        self.cache = (
-            ResultCache(cache_dir) if cache_dir is not None else None
+        self.jobs = JobTable(
+            ResultCache(cache_dir) if cache_dir is not None else None, clock
         )
-        self._jobs: dict[str, Job] = {}      # insertion order = submit order
         self._pipelines = PipelineCache(self.loader, llm_middleware)
         self._fingerprints: dict[str, str] = {}
-        self._lock = threading.Lock()         # job table + state moves
         self._fingerprint_lock = threading.Lock()
-        self._draining = False
+        self._draining = threading.Event()
+
+    @property
+    def cache(self) -> ResultCache | None:
+        """The result cache submits read and finished jobs fill."""
+        return self.jobs.cache
+
+    @cache.setter
+    def cache(self, cache: ResultCache | None) -> None:
+        self.jobs.cache = cache
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -109,8 +114,7 @@ class MiningService:
     @property
     def draining(self) -> bool:
         """True once shutdown started; submissions are refused."""
-        with self._lock:
-            return self._draining
+        return self._draining.is_set()
 
     def shutdown(self, wait: bool = True, timeout: float | None = None) -> bool:
         """Graceful drain: refuse new jobs, then run the queued ones.
@@ -121,19 +125,16 @@ class MiningService:
         seconds have passed on the service clock no further job starts.
         Returns True when no job is left QUEUED.
         """
-        with self._lock:
-            self._draining = True
-            queued = self._queued()
+        self._draining.set()
         if wait:
             deadline = (
                 self._clock() + timeout if timeout is not None else None
             )
-            for job in queued:
+            for job in self.jobs.queued():
                 if deadline is not None and self._clock() >= deadline:
                     break
                 self._run(job)
-        with self._lock:
-            return not self._queued()
+        return not self.jobs.queued()
 
     def drain(self, deadline_seconds: float | None = None) -> bool:
         """SIGTERM-style drain: alias of a waited :meth:`shutdown`."""
@@ -146,7 +147,7 @@ class MiningService:
         self.shutdown(wait=exc_type is None)
 
     # ------------------------------------------------------------------
-    # dataset / pipeline plumbing
+    # dataset plumbing
     # ------------------------------------------------------------------
     def _graph_fingerprint(self, dataset: str) -> str:
         key = dataset.lower()
@@ -156,32 +157,6 @@ class MiningService:
                     self.loader(key).graph
                 )
             return self._fingerprints[key]
-
-    def _spec(
-        self, dataset: str, model: str, method: str, prompt_mode: str,
-        **overrides: object,
-    ) -> JobSpec:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; one of {METHODS}")
-        if prompt_mode not in PROMPT_MODES:
-            raise ValueError(
-                f"unknown prompt mode {prompt_mode!r}; one of {PROMPT_MODES}"
-            )
-        defaults = {
-            "base_seed": self.base_seed,
-            "window_size": self.window_size,
-            "overlap": self.overlap,
-            "rag_chunk_tokens": self.rag_chunk_tokens,
-            "rag_top_k": self.rag_top_k,
-        }
-        unknown = set(overrides) - set(defaults)
-        if unknown:
-            raise TypeError(f"unknown spec overrides: {sorted(unknown)}")
-        defaults.update(overrides)
-        return JobSpec(
-            dataset=dataset.lower(), model=model.lower(),
-            method=method, prompt_mode=prompt_mode, **defaults,
-        )
 
     # ------------------------------------------------------------------
     # client API
@@ -200,32 +175,25 @@ class MiningService:
         without new work; a cell already present in the on-disk cache
         completes immediately as a DONE cache-hit job.  Otherwise the
         job waits QUEUED until :meth:`result` (or a waited
-        :meth:`shutdown`) mines it.
+        :meth:`shutdown`) mines it.  ``overrides`` replace the service's
+        :class:`SpecDefaults` for this cell.
         """
         if self.draining:
             raise ServiceDraining(
                 "service is draining; new submissions are refused"
             )
-        spec = self._spec(dataset, model, method, prompt_mode, **overrides)
+        spec = self.defaults.spec(
+            dataset, model, method, prompt_mode, **overrides
+        )
         job_id = cache_key(spec, self._graph_fingerprint(spec.dataset))
-        # find-or-insert and the cache lookup share one lock hold: a
-        # concurrent submit of the same cell finds the finished entry
-        # and neither reads the cache again nor queues a second job
-        with self._lock:
-            if job_id in self._jobs:
-                return job_id
-            job = Job(spec=spec, job_id=job_id, submitted_at=self._clock())
-            cached = self.cache.get(job_id) if self.cache is not None else None
-            if cached is not None:
-                job.result = cached
-                job.cache_hit = True
-                job.state = JobState.DONE
-                job.finished_at = job.submitted_at
-                job.done.set()
-            self._jobs[job_id] = job
-        obs.inc("service.jobs_submitted")
-        if job.cache_hit:
-            obs.inc("service.jobs_completed", cache_hit=True)
+        job, inserted = self.jobs.find_or_insert(
+            job_id,
+            lambda: Job(spec=spec, job_id=job_id, submitted_at=self._clock()),
+        )
+        if inserted:
+            obs.inc("service.jobs_submitted")
+            if job.cache_hit:
+                obs.inc("service.jobs_completed", cache_hit=True)
         return job_id
 
     def submit_grid(
@@ -246,21 +214,14 @@ class MiningService:
                         ))
         return ids
 
-    def _job(self, job_id: str) -> Job:
-        with self._lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            raise UnknownJobError(job_id)
-        return job
-
     def status(self, job_id: str) -> dict[str, object]:
         """A plain-dict snapshot of one job's lifecycle."""
-        return self._job(job_id).snapshot()
+        return self.jobs.get(job_id).snapshot()
 
     def result(self, job_id: str) -> MiningRun:
         """Mine a QUEUED job on this thread, or wait for the thread that
         is mining it; return its MiningRun."""
-        job = self._job(job_id)
+        job = self.jobs.get(job_id)
         self._run(job)
         job.done.wait()
         if job.state is not JobState.DONE:
@@ -269,39 +230,21 @@ class MiningService:
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a still-queued job; running jobs cannot be recalled."""
-        job = self._job(job_id)
-        with self._lock:
-            if job.state is not JobState.QUEUED:
-                return False
-            job.state = JobState.CANCELLED
-            job.finished_at = self._clock()
-        job.done.set()
+        if not self.jobs.take(self.jobs.get(job_id), JobState.CANCELLED):
+            return False
         obs.inc("service.jobs_cancelled")
         return True
 
     def stats(self) -> dict[str, object]:
         """Service-level accounting: the CLI summary and ``/jobs``."""
-        with self._lock:
-            jobs = list(self._jobs.values())
-        by_state: dict[str, int] = {state.value: 0 for state in JobState}
-        for job in jobs:
-            by_state[job.state.value] += 1
-        cache_stats = self.cache.stats if self.cache is not None else None
+        counts = self.jobs.counts()
+        cache = self.cache.stats if self.cache is not None else None
         return {
-            "jobs": by_state,
-            "submitted": len(jobs),
-            "cache_hits": sum(1 for job in jobs if job.cache_hit),
-            "retries": sum(job.retries for job in jobs),
-            "attempts": sum(job.attempts for job in jobs),
+            **counts,
+            "submitted": counts["tracked"],
             "cache": (
-                {
-                    "hits": cache_stats.hits,
-                    "misses": cache_stats.misses,
-                    "stores": cache_stats.stores,
-                    "evictions": cache_stats.evictions,
-                    "hit_rate": cache_stats.hit_rate,
-                }
-                if cache_stats is not None else None
+                {**asdict(cache), "hit_rate": cache.hit_rate}
+                if cache is not None else None
             ),
         }
 
@@ -316,19 +259,10 @@ class MiningService:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _queued(self) -> list[Job]:
-        return [
-            job for job in self._jobs.values()
-            if job.state is JobState.QUEUED
-        ]
-
     def _run(self, job: Job) -> None:
         """Mine ``job`` here if it is still QUEUED; otherwise a no-op."""
-        with self._lock:
-            if job.state is not JobState.QUEUED:
-                return  # done, cancelled, or mining on another thread
-            job.state = JobState.RUNNING
-            job.started_at = self._clock()
+        if not self.jobs.take(job, JobState.RUNNING):
+            return  # done, cancelled, or mining on another thread
         try:
             run_job(
                 job, self._pipelines, self.retry_policy, self.cache,

@@ -6,6 +6,7 @@ everything below the subprocess fleet (which test_gateway_e2e covers)."""
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
@@ -19,7 +20,7 @@ from repro.datasets.snapshot import (
     load_dataset,
     save_dataset,
 )
-from repro.gateway import Gateway, GatewayJobFailed, protocol
+from repro.gateway import Gateway, GatewayJobFailed, GatewayRejected, protocol
 from repro.gateway.admission import (
     AdmissionController,
     AdmissionPolicy,
@@ -27,7 +28,12 @@ from repro.gateway.admission import (
 )
 from repro.graph import PropertyGraph
 from repro.rules.model import ConsistencyRule, RuleKind
-from repro.service import MiningService, RetryPolicy, ServiceDraining
+from repro.service import (
+    MiningService,
+    RetryPolicy,
+    ServiceDraining,
+    SpecDefaults,
+)
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobSpec, cache_key, graph_fingerprint
 
@@ -213,7 +219,7 @@ class TestProtocol:
     def test_parse_submit_applies_defaults(self):
         spec = protocol.parse_submit(
             self.valid_payload(),
-            protocol.SpecDefaults(base_seed=7, rag_top_k=4),
+            SpecDefaults(base_seed=7, rag_top_k=4),
         )
         assert spec == JobSpec(
             dataset="tiny", model="llama3", method="rag",
@@ -256,11 +262,13 @@ class TestProtocol:
             protocol.parse_submit(self.valid_payload(sudo=True))
         assert "sudo" in str(excinfo.value)
 
-    def test_client_and_priority_are_allowed_passthrough(self):
-        spec = protocol.parse_submit(
-            self.valid_payload(client="alice", priority=2)
-        )
+    def test_client_is_allowed_but_priority_is_rejected(self):
+        spec = protocol.parse_submit(self.valid_payload(client="alice"))
         assert spec.dataset == "tiny"
+        # the dispatcher is FIFO: a priority field would be silently
+        # ignored, so it is refused like any other unknown field
+        with pytest.raises(protocol.ProtocolError, match="priority"):
+            protocol.parse_submit(self.valid_payload(priority=2))
 
     def test_spec_round_trips_through_payload(self):
         spec = protocol.parse_submit(self.valid_payload(base_seed=3))
@@ -527,6 +535,128 @@ class TestResolve:
             "gateway.fingerprint_mismatches"
         )
         assert mismatches.total() == 1
+
+
+# ----------------------------------------------------------------------
+# the gateway's job table under concurrent submits
+# ----------------------------------------------------------------------
+class TestConcurrentSubmit:
+    CELL = {
+        "dataset": "tiny", "model": "llama3",
+        "method": "sliding_window", "prompt_mode": "zero_shot",
+    }
+
+    @pytest.fixture()
+    def lookups(self, monkeypatch) -> list[str]:
+        """Make every cache lookup wait (up to a timeout) for a second
+        one, so two submits overlap inside ``get`` if both reach it."""
+        barrier = threading.Barrier(2, timeout=1.0)
+        keys: list[str] = []
+        original = ResultCache.get
+
+        def get(cache, key):
+            keys.append(key)
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass                               # no second lookup came
+            return original(cache, key)
+
+        monkeypatch.setattr(ResultCache, "get", get)
+        return keys
+
+    @staticmethod
+    def submit_twice(gw, payload: dict) -> list[object]:
+        """Submit ``payload`` from two threads; the jobs or rejections."""
+        outcomes: list[object] = []
+
+        def submit() -> None:
+            try:
+                outcomes.append(gw.submit(dict(payload)))
+            except GatewayRejected as error:
+                outcomes.append(error)
+
+        threads = [threading.Thread(target=submit) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(outcomes) == 2
+        return outcomes
+
+    def test_one_cell_is_one_job_and_one_dispatch(self, tmp_path, lookups):
+        # never started: dispatched jobs stay in the backlog
+        gw = Gateway(
+            cache_dir=tmp_path, workers=1,
+            loader=lambda name: tiny_dataset(name),
+        )
+        first, second = self.submit_twice(gw, self.CELL)
+        assert first is second
+        assert len(lookups) == 1                   # only the inserting submit
+        assert gw.dispatcher.backlog == 1
+        assert gw.stats()["tracked"] == 1
+
+    def test_many_threads_many_cells_one_job_each(self, tmp_path, monkeypatch):
+        keys: list[str] = []
+        original = ResultCache.get
+
+        def get(cache, key):
+            keys.append(key)
+            return original(cache, key)
+
+        monkeypatch.setattr(ResultCache, "get", get)
+        gw = Gateway(
+            cache_dir=tmp_path, workers=1,
+            loader=lambda name: tiny_dataset(name),
+        )
+        cells = [
+            {**self.CELL, "model": model, "method": method}
+            for model in ("llama3", "mixtral")
+            for method in ("sliding_window", "rag")
+        ]
+        seen: list[tuple[str, int]] = []
+
+        def submit_all(offset: int) -> None:
+            for index in range(len(cells)):
+                job = gw.submit(dict(cells[(index + offset) % len(cells)]))
+                seen.append((job.job_id, id(job)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=submit_all, args=(offset,))
+                for offset in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 8 * len(cells)
+        assert len(set(seen)) == len(cells)        # one object per cell
+        assert sorted(keys) == sorted({job_id for job_id, _ in seen})
+        assert gw.dispatcher.backlog == len(cells)
+        assert gw.stats()["tracked"] == len(cells)
+
+    def test_refused_dispatch_leaves_no_orphan_job(self, tmp_path, lookups):
+        gw = Gateway(
+            cache_dir=tmp_path, workers=1, queue_depth=1,
+            loader=lambda name: tiny_dataset(name),
+        )
+        gw.submit({**self.CELL, "method": "rag"})  # fills the backlog
+        lookups.clear()
+        outcomes = self.submit_twice(gw, self.CELL)
+        for outcome in outcomes:
+            if isinstance(outcome, GatewayRejected):
+                assert outcome.decision.reason == "queue_full"
+                continue
+            # a returned job must be known and must finish
+            assert gw.status(outcome.job_id)["job_id"] == outcome.job_id
+            assert outcome.done.wait(timeout=5)
+        assert gw.dispatcher.backlog == 1
 
 
 # ----------------------------------------------------------------------

@@ -111,7 +111,7 @@ class TestFleetServing:
                 client.submit("tiny", model, method, "zero_shot")
                 for model, method in cells
             ]
-            assert all(job["state"] in ("queued", "dispatched", "done")
+            assert all(job["state"] in ("queued", "running", "done")
                        for job in jobs)
             served = {
                 job["job_id"]: client.result(job["job_id"], timeout=120)

@@ -112,6 +112,15 @@ class TestSubmission:
             svc.submit("tiny", "llama3", "rag", "nope")
         svc.shutdown()
 
+    def test_unknown_model_and_bad_knob_rejected_at_submit(self, loader):
+        svc = service(loader)
+        with pytest.raises(ValueError, match="gpt-9"):
+            svc.submit("tiny", "gpt-9", "rag", "zero_shot")
+        with pytest.raises(ValueError, match="rag_top_k"):
+            svc.submit("tiny", "llama3", "rag", "zero_shot", rag_top_k=0)
+        assert svc.stats()["submitted"] == 0
+        svc.shutdown()
+
     def test_unknown_job_id(self, loader):
         svc = service(loader)
         with pytest.raises(UnknownJobError):
